@@ -1,54 +1,37 @@
-"""Pulse preparation, lossy channel, eavesdropper and measurement model.
+"""Lossy channel, eavesdropper and measurement model, over whole pulse columns.
 
 The quantum layer is modeled at the level of the four states used by the
 two mutually unbiased bases: a pulse carries exactly one prepared bit in
 one basis, measuring in the preparation basis reproduces the bit, and
-measuring in the other basis yields a uniformly random outcome.
+measuring in the other basis yields a uniformly random outcome. Every
+function here acts on numpy columns holding one entry per pulse, with
+bases encoded as `Basis` integers (Z = 0, X = 1).
 """
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 
-class Basis(enum.Enum):
-    Z = "Z"
-    X = "X"
+class Basis(enum.IntEnum):
+    """Column encoding of the two bases; transcripts print the name."""
 
-    def other(self) -> "Basis":
-        return Basis.X if self is Basis.Z else Basis.Z
+    Z = 0
+    X = 1
 
 
-class IntensityClass(enum.Enum):
-    SIGNAL = "signal"
-    DECOY = "decoy"
+class IntensityClass(enum.IntEnum):
+    """Column encoding of the decoy flag; transcripts print the lower-case name."""
+
+    SIGNAL = 0
+    DECOY = 1
 
 
 class EveKind(enum.Enum):
     NONE = "none"
     INTERCEPT_RESEND = "intercept_resend"
-
-
-@dataclass(frozen=True)
-class Qubit:
-    """One of the four conjugate-coding states, identified by (bit, basis)."""
-
-    prepared_bit: int
-    prepared_basis: Basis
-
-    def __post_init__(self):
-        if self.prepared_bit not in (0, 1):
-            raise ValueError(f"prepared_bit must be 0 or 1, got {self.prepared_bit}")
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """A qubit tagged with the intensity class it was transmitted at."""
-
-    qubit: Qubit
-    intensity: IntensityClass
 
 
 @dataclass(frozen=True)
@@ -71,10 +54,6 @@ class ChannelParams:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
-    def detection_probability(self, intensity: IntensityClass) -> float:
-        scale = self.decoy_detect_scale if intensity is IntensityClass.DECOY else 1.0
-        return self.transmittance * scale
-
 
 @dataclass(frozen=True)
 class EveModel:
@@ -90,56 +69,43 @@ class EveModel:
             raise ValueError("fraction must be 0 when no eavesdropper is present")
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    """A pulse that survived the channel.
-
-    `flip` records a misalignment error sampled at transmission time; it is
-    applied to the receiver's measured bit.
-    """
-
-    qubit: Qubit
-    flip: bool = False
-
-
-def prepare_pulse(bit: int, basis: Basis, intensity: IntensityClass) -> Pulse:
-    """Encode one bit in one basis, producing the unique matching state."""
-    return Pulse(qubit=Qubit(prepared_bit=bit, prepared_basis=basis), intensity=intensity)
-
-
-def measure(q: Qubit, basis: Basis, rng: random.Random) -> int:
-    """Measure a qubit in the given basis.
+def measure(
+    bit: np.ndarray, basis: np.ndarray, meas_basis: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Measure each state (bit, basis) in `meas_basis`.
 
     In the preparation basis the outcome equals the prepared bit; in the
-    conjugate basis the outcome is a fresh uniform bit.
+    conjugate basis it is a fresh uniform bit.
     """
-    if basis is q.prepared_basis:
-        return q.prepared_bit
-    return rng.getrandbits(1)
+    coins = rng.integers(0, 2, size=bit.size, dtype=np.uint8)
+    return np.where(meas_basis == basis, bit, coins)
 
 
-def transmit(
-    pulse: Pulse,
+def propagate(
+    bit: np.ndarray,
+    basis: np.ndarray,
+    decoy: np.ndarray,
     ch: ChannelParams,
     eve: EveModel,
-    rng: random.Random,
-) -> Optional[DetectionEvent]:
-    """Send a pulse through the channel; None means it was never detected.
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Send pulses through the channel: (detected, bit, basis, flip) at the receiver.
 
-    A detected pulse is attacked with probability `eve.fraction` when an
-    intercept-resend eavesdropper is configured: the attacker measures in a
-    uniformly random basis and re-prepares the state from her outcome.
+    A pulse is detected with probability `transmittance`, scaled by
+    `decoy_detect_scale` for decoy pulses. With an intercept-resend
+    eavesdropper, a `fraction` of pulses is measured in a uniformly random
+    basis and re-prepared from the outcome, so the returned states are the
+    ones that arrive. `flip` marks the misalignment errors that the
+    receiver's outcome suffers.
     """
-    p_detect = ch.detection_probability(pulse.intensity)
-    if p_detect <= 0.0 or rng.random() >= p_detect:
-        return None
-
-    qubit = pulse.qubit
+    n = bit.size
+    p_detect = np.where(decoy, ch.transmittance * ch.decoy_detect_scale, ch.transmittance)
+    detected = rng.random(n) < p_detect
     if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
-        if rng.random() < eve.fraction:
-            eve_basis = Basis.Z if rng.getrandbits(1) == 0 else Basis.X
-            outcome = measure(qubit, eve_basis, rng)
-            qubit = Qubit(prepared_bit=outcome, prepared_basis=eve_basis)
-
-    flip = ch.misalignment_error > 0.0 and rng.random() < ch.misalignment_error
-    return DetectionEvent(qubit=qubit, flip=flip)
+        attacked = rng.random(n) < eve.fraction
+        eve_basis = rng.integers(0, 2, size=n, dtype=np.uint8)
+        eve_bit = measure(bit, basis, eve_basis, rng)
+        bit = np.where(attacked, eve_bit, bit)
+        basis = np.where(attacked, eve_basis, basis)
+    flip = rng.random(n) < ch.misalignment_error
+    return detected, bit, basis, flip

@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..channel import Basis, IntensityClass
+from ..channel import Basis
 from ..keys import KeyMaterial, KeyStage
-from ..protocol import ProtocolError, PulseRecord, check_alignment
+from ..protocol import ProtocolError, Transcript
 
 
 @dataclass
@@ -63,74 +63,43 @@ class PairedBits:
 
 @dataclass(frozen=True)
 class AnnouncementBundle:
-    """Everything announced before sifting, kept for audit.
+    """What sifting derived from the announcements, kept for audit.
 
-    basis pairs and intensities are aligned with `detected_indices`;
-    `x_basis_bits` holds the disclosed bit pairs at detected signal
+    `detected_indices` lists the positions the receiver announced as
+    detected; `x_basis_bits` holds the disclosed bit pairs at detected signal
     positions where both parties used the X basis.
     """
 
     detected_indices: np.ndarray
-    alice_bases: list[Basis]
-    bob_bases: list[Basis]
-    intensities: list[IntensityClass]
     x_basis_bits: PairedBits
 
 
 def announce_and_sift(
-    alice_t: list[PulseRecord],
-    bob_t: list[PulseRecord],
+    t: Transcript,
 ) -> tuple[KeyMaterial, KeyMaterial, PairedBits, AnnouncementBundle, LeakageLedger]:
-    """Exchange announcements and sift the raw transcripts.
+    """Exchange announcements and sift the transcript.
 
     Returns (sifted_A, sifted_B, x_sample, bundle, ledger). Sifted keys
     contain exactly the detected, signal-intensity, both-Z positions in
     index order; an empty result is legal and must be handled downstream.
     """
-    check_alignment(alice_t, bob_t)
+    if t.bit is None or t.basis is None or t.decoy is None:
+        raise ProtocolError("transcript is missing the sender's prepared columns")
+    if t.measured_bit is None or t.measured_basis is None:
+        raise ProtocolError("transcript is missing the receiver's measured columns")
 
-    detected, a_bases, b_bases, intensities = [], [], [], []
-    keep_a, keep_b = [], []
-    x_idx, x_a, x_b = [], [], []
-    for a, b in zip(alice_t, bob_t):
-        if not b.detected:
-            continue
-        if a.bit is None or a.basis is None or a.intensity is None:
-            raise ProtocolError(f"sender record {a.index} is missing prepared fields")
-        if b.measured_bit is None or b.measured_basis is None:
-            raise ProtocolError(f"receiver record {b.index} is missing measured fields")
-        detected.append(a.index)
-        a_bases.append(a.basis)
-        b_bases.append(b.measured_basis)
-        intensities.append(a.intensity)
-        if a.intensity is not IntensityClass.SIGNAL:
-            continue
-        if a.basis is Basis.Z and b.measured_basis is Basis.Z:
-            keep_a.append(a.bit)
-            keep_b.append(b.measured_bit)
-        elif a.basis is Basis.X and b.measured_basis is Basis.X:
-            x_idx.append(a.index)
-            x_a.append(a.bit)
-            x_b.append(b.measured_bit)
-
-    x_sample = PairedBits(
-        indices=np.asarray(x_idx, dtype=np.int64),
-        alice=np.asarray(x_a, dtype=np.uint8),
-        bob=np.asarray(x_b, dtype=np.uint8),
-    )
-    bundle = AnnouncementBundle(
-        detected_indices=np.asarray(detected, dtype=np.int64),
-        alice_bases=a_bases,
-        bob_bases=b_bases,
-        intensities=intensities,
-        x_basis_bits=x_sample,
-    )
+    signal = t.detected & ~t.decoy
+    matched = signal & (t.basis == t.measured_basis)
+    keep = matched & (t.basis == Basis.Z)
+    x_idx = np.flatnonzero(matched & (t.basis == Basis.X))
+    x_sample = PairedBits(indices=x_idx, alice=t.bit[x_idx], bob=t.measured_bit[x_idx])
+    bundle = AnnouncementBundle(detected_indices=np.flatnonzero(t.detected), x_basis_bits=x_sample)
     ledger = LeakageLedger()
     # Both parties publish their bits at matched-X signal positions.
     ledger.add_sifting(2 * x_sample.size)
 
-    sifted_a = KeyMaterial(np.asarray(keep_a, dtype=np.uint8), stage=KeyStage.SIFTED)
-    sifted_b = KeyMaterial(np.asarray(keep_b, dtype=np.uint8), stage=KeyStage.SIFTED)
+    sifted_a = KeyMaterial(t.bit[keep], stage=KeyStage.SIFTED)
+    sifted_b = KeyMaterial(t.measured_bit[keep], stage=KeyStage.SIFTED)
     return sifted_a, sifted_b, x_sample, bundle, ledger
 
 

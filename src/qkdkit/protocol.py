@@ -1,27 +1,20 @@
-"""Quantum-phase driver: basis selection, pulse-by-pulse exchange, transcripts.
+"""Quantum-phase driver: basis selection, the bulk pulse exchange, transcripts.
 
-Runs the prepare/transmit/measure loop for a whole session and returns one
-aligned transcript per party. All randomness flows from per-party seeded
-sources derived from a single master seed, so identical seeds reproduce
-identical transcripts bit for bit.
+Runs the prepare/transmit/measure exchange for a whole session at once and
+returns one columnar transcript. All randomness is drawn in bulk from
+per-party numpy generators seeded from a single master seed, so identical
+seeds reproduce identical transcripts bit for bit.
 """
 from __future__ import annotations
 
 import hashlib
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
+import numpy as np
+
 from .bits import derive_seed
-from .channel import (
-    Basis,
-    ChannelParams,
-    EveModel,
-    IntensityClass,
-    measure,
-    prepare_pulse,
-    transmit,
-)
+from .channel import Basis, ChannelParams, EveModel, IntensityClass, measure, propagate
 
 
 class ProtocolError(Exception):
@@ -62,21 +55,20 @@ class PresharedSequence:
 BasisStrategy = Union[SymmetricRandom, AsymmetricRandom, PresharedSequence]
 
 
-def _preshared_bit(seed: bytes, position: int) -> int:
-    # Counter-mode SHA-256 expansion: block i supplies bits 256*i .. 256*i+255.
-    block, offset = divmod(position, 256)
-    digest = hashlib.sha256(seed + block.to_bytes(8, "big")).digest()
-    return (digest[offset // 8] >> (7 - offset % 8)) & 1
-
-
-def choose_basis(strategy: BasisStrategy, position: int, rng: random.Random) -> Basis:
-    """Select the basis for one position under the configured strategy."""
+def draw_bases(strategy: BasisStrategy, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Select the bases of positions 0..n-1 under the configured strategy."""
     if isinstance(strategy, SymmetricRandom):
-        return Basis.Z if rng.getrandbits(1) == 0 else Basis.X
+        return rng.integers(0, 2, size=n, dtype=np.uint8)
     if isinstance(strategy, AsymmetricRandom):
-        return Basis.Z if rng.random() < strategy.p_z else Basis.X
+        return (rng.random(n) >= strategy.p_z).astype(np.uint8)
     if isinstance(strategy, PresharedSequence):
-        return Basis.Z if _preshared_bit(strategy.shared_seed, position) == 0 else Basis.X
+        # Counter-mode SHA-256 expansion: block i supplies bits 256*i .. 256*i+255.
+        seed = strategy.shared_seed
+        stream = b"".join(
+            hashlib.sha256(seed + block.to_bytes(8, "big")).digest()
+            for block in range((n + 255) // 256)
+        )
+        return np.unpackbits(np.frombuffer(stream, dtype=np.uint8), count=n)
     raise TypeError(f"unknown basis strategy: {strategy!r}")
 
 
@@ -99,28 +91,43 @@ class ProtocolConfig:
             raise ValueError(f"decoy_probability must lie in [0, 1), got {self.decoy_probability}")
 
 
-@dataclass(frozen=True)
-class PulseRecord:
-    """Per-position audit record.
+@dataclass(frozen=True, eq=False)
+class Transcript:
+    """One quantum phase as aligned columns, one entry per pulse position.
 
-    The sender's records carry the prepared fields; the receiver's records
-    carry the measured fields, which are present exactly when the pulse was
-    detected.
+    The sender holds `bit`, `basis` and `decoy`; the receiver holds
+    `measured_basis` and `measured_bit`, which are 0 wherever `detected` is
+    False. Both parties know `detected`, which the receiver announces. A
+    column the holder of a one-party view does not hold is None.
     """
 
-    index: int
-    bit: Optional[int] = None
-    basis: Optional[Basis] = None
-    intensity: Optional[IntensityClass] = None
-    detected: bool = False
-    measured_bit: Optional[int] = None
-    measured_basis: Optional[Basis] = None
+    detected: np.ndarray
+    bit: Optional[np.ndarray] = None
+    basis: Optional[np.ndarray] = None
+    decoy: Optional[np.ndarray] = None
+    measured_basis: Optional[np.ndarray] = None
+    measured_bit: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if (self.measured_bit is None) != (self.measured_basis is None):
-            raise ValueError("measured_bit and measured_basis must be set together")
-        if self.measured_bit is not None and not self.detected:
-            raise ValueError("measured fields require detected=True")
+        n = self.detected.size
+        for f in fields(self):
+            column = getattr(self, f.name)
+            if column is not None and column.shape != (n,):
+                raise ProtocolError(
+                    f"transcript column {f.name} has shape {column.shape}, expected ({n},)"
+                )
+
+    @property
+    def n_pulses(self) -> int:
+        return int(self.detected.size)
+
+    def held_by(self, party: str) -> "Transcript":
+        """The columns one party holds: 'alice' (sender) or 'bob' (receiver)."""
+        if party == "alice":
+            return replace(self, measured_basis=None, measured_bit=None)
+        if party == "bob":
+            return replace(self, bit=None, basis=None, decoy=None)
+        raise ValueError(f"unknown party {party!r}")
 
 
 @dataclass(frozen=True)
@@ -145,103 +152,112 @@ def run_quantum_phase(
     ch: ChannelParams,
     eve: EveModel,
     seeds: SessionSeeds,
-) -> tuple[list[PulseRecord], list[PulseRecord]]:
-    """Execute the full pulse exchange and return (sender, receiver) transcripts.
+) -> Transcript:
+    """Execute the full pulse exchange and return its transcript.
 
-    Both transcripts have length cfg.n_pulses with aligned indices. The
-    sender transcript carries prepared bits/bases/intensities, the receiver
-    transcript detection flags and measured bits/bases. The receiver draws a
-    measurement basis for every position, detected or not.
+    The receiver draws a measurement basis for every position, detected or
+    not; only detected positions keep a measured basis and bit.
     """
-    alice_rng = random.Random(seeds.alice)
-    bob_rng = random.Random(seeds.bob)
-    channel_rng = random.Random(seeds.channel)
+    n = cfg.n_pulses
+    alice_rng = np.random.default_rng(seeds.alice)
+    bob_rng = np.random.default_rng(seeds.bob)
 
-    alice_t: list[PulseRecord] = []
-    bob_t: list[PulseRecord] = []
-    for i in range(cfg.n_pulses):
-        bit = alice_rng.getrandbits(1)
-        a_basis = choose_basis(cfg.strategy, i, alice_rng)
-        decoy = cfg.decoy_probability > 0.0 and alice_rng.random() < cfg.decoy_probability
-        intensity = IntensityClass.DECOY if decoy else IntensityClass.SIGNAL
+    bit = alice_rng.integers(0, 2, size=n, dtype=np.uint8)
+    basis = draw_bases(cfg.strategy, n, alice_rng)
+    decoy = alice_rng.random(n) < cfg.decoy_probability
 
-        pulse = prepare_pulse(bit, a_basis, intensity)
-        event = transmit(pulse, ch, eve, channel_rng)
-        b_basis = choose_basis(cfg.strategy, i, bob_rng)
-
-        if event is None:
-            alice_t.append(PulseRecord(index=i, bit=bit, basis=a_basis, intensity=intensity))
-            bob_t.append(PulseRecord(index=i))
-            continue
-
-        outcome = measure(event.qubit, b_basis, bob_rng)
-        if event.flip:
-            outcome ^= 1
-        alice_t.append(
-            PulseRecord(index=i, bit=bit, basis=a_basis, intensity=intensity, detected=True)
-        )
-        bob_t.append(
-            PulseRecord(
-                index=i,
-                detected=True,
-                measured_bit=outcome,
-                measured_basis=b_basis,
-            )
-        )
-    return alice_t, bob_t
+    detected, arrived_bit, arrived_basis, flip = propagate(
+        bit, basis, decoy, ch, eve, np.random.default_rng(seeds.channel)
+    )
+    measured_basis = draw_bases(cfg.strategy, n, bob_rng)
+    outcome = measure(arrived_bit, arrived_basis, measured_basis, bob_rng) ^ flip
+    return Transcript(
+        detected=detected,
+        bit=bit,
+        basis=basis,
+        decoy=decoy,
+        measured_basis=measured_basis * detected,
+        measured_bit=outcome * detected,
+    )
 
 
-def check_alignment(alice_t: list[PulseRecord], bob_t: list[PulseRecord]) -> None:
-    """Verify the two transcripts describe the same session."""
-    if len(alice_t) != len(bob_t):
-        raise ProtocolError(f"transcript lengths differ: {len(alice_t)} vs {len(bob_t)}")
-    for i, (a, b) in enumerate(zip(alice_t, bob_t)):
-        if a.index != i or b.index != i:
-            raise ProtocolError(f"transcript indices misaligned at position {i}")
+# Text names of each transcript field's column values, indexed by value.
+_NAMES = {
+    "basis": [b.name for b in Basis],
+    "bit": ["0", "1"],
+    "intensity": [c.name.lower() for c in IntensityClass],
+}
+_VALUES = {kind: {name: v for v, name in enumerate(names)} for kind, names in _NAMES.items()}
 
 
-def dump_transcript(records: list[PulseRecord]) -> str:
+def dump_transcript(t: Transcript) -> str:
     """Render a transcript as audit text, one position per line.
 
     Line format: index,basis,bit,intensity,detected,measured_basis,measured_bit
-    with empty fields for values the party does not hold.
+    with empty fields for values the transcript does not hold; measured
+    fields appear only at detected positions.
     """
-    lines = []
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.index),
-                    r.basis.value if r.basis is not None else "",
-                    str(r.bit) if r.bit is not None else "",
-                    r.intensity.value if r.intensity is not None else "",
-                    "1" if r.detected else "0",
-                    r.measured_basis.value if r.measured_basis is not None else "",
-                    str(r.measured_bit) if r.measured_bit is not None else "",
-                ]
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    detected = t.detected.tolist()
+    everywhere = [True] * len(detected)
+
+    def text(column, kind, where) -> list[str]:
+        if column is None:
+            return [""] * len(where)
+        names = _NAMES[kind]
+        return [names[v] if w else "" for v, w in zip(column.tolist(), where)]
+
+    columns = [
+        text(t.basis, "basis", everywhere),
+        text(t.bit, "bit", everywhere),
+        text(t.decoy, "intensity", everywhere),
+        ["1" if d else "0" for d in detected],
+        text(t.measured_basis, "basis", detected),
+        text(t.measured_bit, "bit", detected),
+    ]
+    return "".join(f"{i},{','.join(row)}\n" for i, row in enumerate(zip(*columns)))
 
 
-def parse_transcript(text: str) -> list[PulseRecord]:
-    records = []
+def parse_transcript(text: str) -> Transcript:
+    """Read `dump_transcript` text back; a field empty on every line is not held."""
+    rows, linenos = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ProtocolError(f"line {lineno}: expected 7 fields, got {len(fields)}")
-        idx, basis, bit, intensity, detected, m_basis, m_bit = fields
-        records.append(
-            PulseRecord(
-                index=int(idx),
-                basis=Basis(basis) if basis else None,
-                bit=int(bit) if bit else None,
-                intensity=IntensityClass(intensity) if intensity else None,
-                detected=detected == "1",
-                measured_basis=Basis(m_basis) if m_basis else None,
-                measured_bit=int(m_bit) if m_bit else None,
-            )
-        )
-    return records
+        row = line.split(",")
+        if len(row) != 7:
+            raise ProtocolError(f"line {lineno}: expected 7 fields, got {len(row)}")
+        if row[0] != str(len(rows)):
+            raise ProtocolError(f"line {lineno}: expected index {len(rows)}, got {row[0]!r}")
+        rows.append(row)
+        linenos.append(lineno)
+    _, basis, bit, intensity, detected, m_basis, m_bit = zip(*rows) if rows else [()] * 7
+    detected_mask = np.array([d == "1" for d in detected], dtype=bool)
+    everywhere = [True] * len(rows)
+
+    def column(values, kind, where) -> Optional[np.ndarray]:
+        if not any(values):
+            return None
+        out = np.zeros(len(values), dtype=np.uint8)
+        for i, (value, needed) in enumerate(zip(values, where)):
+            if bool(value) != needed:
+                state = "missing" if needed else "unexpected"
+                raise ProtocolError(f"line {linenos[i]}: {state} {kind} field")
+            if value:
+                if value not in _VALUES[kind]:
+                    raise ProtocolError(f"line {linenos[i]}: bad {kind} {value!r}")
+                out[i] = _VALUES[kind][value]
+        return out
+
+    decoy = column(intensity, "intensity", everywhere)
+    measured_basis = column(m_basis, "basis", detected_mask.tolist())
+    measured_bit = column(m_bit, "bit", detected_mask.tolist())
+    if (measured_basis is None) != (measured_bit is None):
+        raise ProtocolError("measured_basis and measured_bit must be held together")
+    return Transcript(
+        detected=detected_mask,
+        bit=column(bit, "bit", everywhere),
+        basis=column(basis, "basis", everywhere),
+        decoy=None if decoy is None else decoy.astype(bool),
+        measured_basis=measured_basis,
+        measured_bit=measured_bit,
+    )

@@ -43,7 +43,7 @@ from .auth import (
     wc_verify,
 )
 from .bits import bytes_from_bits, derive_seed, random_bits
-from .channel import Basis, ChannelParams, EveKind, EveModel, IntensityClass
+from .channel import ChannelParams, EveKind, EveModel
 from .keys import KeyStage
 from .network import (
     BudgetExceededError,
@@ -75,9 +75,9 @@ from .protocol import (
     BasisStrategy,
     PresharedSequence,
     ProtocolConfig,
-    PulseRecord,
     SessionSeeds,
     SymmetricRandom,
+    Transcript,
     dump_transcript,
     run_quantum_phase,
 )
@@ -353,7 +353,7 @@ class SessionResult:
     messages: list[PublicMessage]
     application_keys: list[np.ndarray]
     final_keys: list[tuple[np.ndarray, np.ndarray]]
-    transcripts: list[tuple[list[PulseRecord], list[PulseRecord]]]
+    transcripts: list[Transcript]
     network_rows: list[dict] = field(default_factory=list)
 
     @property
@@ -458,7 +458,7 @@ def run_session(scenario: Scenario, keep_transcripts: bool = False) -> SessionRe
     rounds: list[RoundReport] = []
     application_keys: list[np.ndarray] = []
     final_keys: list[tuple[np.ndarray, np.ndarray]] = []
-    transcripts: list[tuple[list[PulseRecord], list[PulseRecord]]] = []
+    transcripts: list[Transcript] = []
     status, reason = STATUS_OK, None
 
     for round_no in range(1, scenario.rounds + 1):
@@ -513,35 +513,31 @@ def _run_round(
     messenger.set_mode(mode)
 
     seeds = SessionSeeds.from_master(derive_seed(scenario.master_seed, "round", round_no))
-    alice_t, bob_t = run_quantum_phase(scenario.protocol, scenario.channel, scenario.eve, seeds)
+    transcript = run_quantum_phase(scenario.protocol, scenario.channel, scenario.eve, seeds)
     if transcripts is not None:
-        transcripts.append((alice_t, bob_t))
+        transcripts.append(transcript)
 
-    sifted_a, sifted_b, x_sample, bundle, ledger = announce_and_sift(alice_t, bob_t)
+    sifted_a, sifted_b, x_sample, bundle, ledger = announce_and_sift(transcript)
     n_detected = int(bundle.detected_indices.size)
 
-    detected_mask = np.zeros(scenario.protocol.n_pulses, dtype=np.uint8)
-    detected_mask[bundle.detected_indices] = 1
-    bob_basis_bits = np.array([1 if b is Basis.X else 0 for b in bundle.bob_bases], dtype=np.uint8)
+    # Bases are announced as bits (X = 1), intensities as decoy flags.
     messenger.send(
         round_no,
         "bob",
         "detections",
-        {"detected": _hex(detected_mask), "bases": _hex(bob_basis_bits), "count": n_detected},
-    )
-    alice_basis_bits = np.array(
-        [1 if r.basis is Basis.X else 0 for r in alice_t], dtype=np.uint8
-    )
-    intensity_bits = np.array(
-        [1 if r.intensity is IntensityClass.DECOY else 0 for r in alice_t], dtype=np.uint8
+        {
+            "detected": _hex(transcript.detected),
+            "bases": _hex(transcript.measured_basis[transcript.detected]),
+            "count": n_detected,
+        },
     )
     messenger.send(
         round_no,
         "alice",
         "bases-intensities",
         {
-            "bases": _hex(alice_basis_bits),
-            "intensities": _hex(intensity_bits),
+            "bases": _hex(transcript.basis),
+            "intensities": _hex(transcript.decoy),
             "x_bits": _hex(x_sample.alice),
             "x_count": x_sample.size,
         },
@@ -705,11 +701,10 @@ def run_network(scenario: Scenario, config_dir: Path) -> list[dict]:
                 f"({request.policy.value}, {request.key_len} bits): {exc}"
             ) from exc
         records.append((request, record))
+    exposure = {node: compromise_node(state, node) for node in topo.nodes}
     rows = []
     for request, record in records:
-        exposed_by = sorted(
-            node for node in topo.nodes if record.key_id in compromise_node(state, node)
-        )
+        exposed_by = sorted(node for node, keys in exposure.items() if record.key_id in keys)
         rows.append(
             {
                 "src": request.src,
@@ -817,10 +812,10 @@ def write_reports(result: SessionResult, out_dir: Path, write_transcripts: bool 
         written.append(net_path)
 
     if write_transcripts:
-        for idx, (alice_t, bob_t) in enumerate(result.transcripts, start=1):
-            for party, records in (("alice", alice_t), ("bob", bob_t)):
+        for idx, transcript in enumerate(result.transcripts, start=1):
+            for party in ("alice", "bob"):
                 path = out_dir / f"round_{idx:02d}_{party}.transcript"
-                path.write_text(dump_transcript(records))
+                path.write_text(dump_transcript(transcript.held_by(party)))
                 written.append(path)
     return written
 

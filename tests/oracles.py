@@ -2,17 +2,91 @@
 
 Everything here deliberately avoids the library's own fast paths: matrices
 are materialized entry by entry, error rates come from exact branch
-enumeration, and key exposure is re-derived by replaying stored material
-against public transcripts.
+enumeration, the quantum phase is simulated one pulse at a time, and key
+exposure is re-derived by replaying stored material against public
+transcripts.
 """
+import hashlib
+import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from qkdkit.channel import Basis
+from qkdkit.channel import Basis, ChannelParams, EveKind, EveModel, IntensityClass
 from qkdkit.network import NetworkState, NetworkTopology, NodeRole, Provenance
 
 ALL_STATES = [(bit, basis) for bit in (0, 1) for basis in (Basis.Z, Basis.X)]
+
+
+@dataclass(frozen=True)
+class Qubit:
+    """One of the four conjugate-coding states, identified by (bit, basis)."""
+
+    prepared_bit: int
+    prepared_basis: Basis
+
+    def __post_init__(self):
+        if self.prepared_bit not in (0, 1):
+            raise ValueError(f"prepared_bit must be 0 or 1, got {self.prepared_bit}")
+
+
+@dataclass(frozen=True)
+class Pulse:
+    """A qubit tagged with the intensity class it was transmitted at."""
+
+    qubit: Qubit
+    intensity: IntensityClass
+
+
+@dataclass(frozen=True)
+class DetectionEvent:
+    """A pulse that survived the channel; `flip` is a misalignment error."""
+
+    qubit: Qubit
+    flip: bool = False
+
+
+def prepare_pulse(bit: int, basis: Basis, intensity: IntensityClass) -> Pulse:
+    """Encode one bit in one basis, producing the unique matching state."""
+    return Pulse(qubit=Qubit(prepared_bit=bit, prepared_basis=basis), intensity=intensity)
+
+
+def measure(q: Qubit, basis: Basis, rng: random.Random) -> int:
+    """Scalar measurement: the prepared bit in its basis, a fair coin otherwise."""
+    if basis is q.prepared_basis:
+        return q.prepared_bit
+    return rng.getrandbits(1)
+
+
+def transmit(
+    pulse: Pulse, ch: ChannelParams, eve: EveModel, rng: random.Random
+) -> Optional[DetectionEvent]:
+    """Send one pulse through the channel; None means it was never detected.
+
+    A detected pulse is attacked with probability `eve.fraction` by an
+    intercept-resend eavesdropper, who measures in a uniformly random basis
+    and re-prepares the state from her outcome.
+    """
+    scale = ch.decoy_detect_scale if pulse.intensity is IntensityClass.DECOY else 1.0
+    p_detect = ch.transmittance * scale
+    if p_detect <= 0.0 or rng.random() >= p_detect:
+        return None
+    qubit = pulse.qubit
+    if eve.kind is EveKind.INTERCEPT_RESEND and eve.fraction > 0.0:
+        if rng.random() < eve.fraction:
+            eve_basis = Basis.Z if rng.getrandbits(1) == 0 else Basis.X
+            qubit = Qubit(prepared_bit=measure(qubit, eve_basis, rng), prepared_basis=eve_basis)
+    flip = ch.misalignment_error > 0.0 and rng.random() < ch.misalignment_error
+    return DetectionEvent(qubit=qubit, flip=flip)
+
+
+def preshared_bit(seed: bytes, position: int) -> int:
+    """Basis bit of one position under counter-mode SHA-256 expansion."""
+    block, offset = divmod(position, 256)
+    digest = hashlib.sha256(seed + block.to_bytes(8, "big")).digest()
+    return (digest[offset // 8] >> (7 - offset % 8)) & 1
 
 
 def intercept_resend_error_probability(fraction: Fraction = Fraction(1)) -> Fraction:

@@ -31,7 +31,7 @@ from qkdkit.auth import (
     wc_tag,
 )
 from qkdkit.bits import int_to_bits
-from qkdkit.channel import ChannelParams, EveModel, IntensityClass
+from qkdkit.channel import ChannelParams, EveModel
 from qkdkit.keys import KeyMaterial, KeyStage
 from qkdkit.network import (
     BudgetExceededError,
@@ -138,24 +138,20 @@ def test_criterion_1_intercept_resend_signature():
 def test_criterion_2_sifting_arithmetic():
     with criterion(2, "sifted fraction 0.25 of detected signal pulses; preshared mismatch 0"):
         cfg = ProtocolConfig(n_pulses=100_000, strategy=SymmetricRandom(), decoy_probability=0.1)
-        alice_t, bob_t = run_quantum_phase(
+        t = run_quantum_phase(
             cfg, ChannelParams(transmittance=0.9), EveModel(), SessionSeeds.from_master(31337)
         )
-        sifted_a, _, _, bundle, _ = announce_and_sift(alice_t, bob_t)
-        detected_signal = sum(1 for i in bundle.intensities if i is IntensityClass.SIGNAL)
+        sifted_a, _, _, _, _ = announce_and_sift(t)
+        detected_signal = int(np.count_nonzero(t.detected & ~t.decoy))
         assert abs(sifted_a.length / detected_signal - 0.25) < 0.01
 
         cfg = ProtocolConfig(
             n_pulses=50_000, strategy=PresharedSequence(b"shared-basis-secret"), decoy_probability=0.1
         )
-        alice_t, bob_t = run_quantum_phase(
+        t = run_quantum_phase(
             cfg, ChannelParams(transmittance=0.9), EveModel(), SessionSeeds.from_master(31338)
         )
-        mismatches = sum(
-            1
-            for a, b in zip(alice_t, bob_t)
-            if b.detected and a.basis is not b.measured_basis
-        )
+        mismatches = int(np.count_nonzero((t.basis != t.measured_basis) & t.detected))
         assert mismatches == 0
 
 

@@ -55,6 +55,14 @@ def test_run_full_interception_returns_abort_code(tmp_path):
     assert abs(float(report["rounds"][0]["e_x"]) - 0.25) < 0.01
 
 
+def test_run_without_detections_returns_abort_code(tmp_path):
+    cfg = write_config(tmp_path, channel={"transmittance": 0.0})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_ABORTED
+    report = json.loads((out / "report.json").read_text())
+    assert (report["status"], report["reason"]) == ("aborted", "empty-sample")
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -226,8 +226,29 @@ def test_transcript_files_roundtrip(tmp_path):
     cfg["postproc"] = {"threshold": 0.11}
     scenario = scenario_from_dict(cfg)
     out = tmp_path / "out"
-    run_scenario(scenario, out_dir=out, write_transcripts=True)
+    result = run_scenario(scenario, out_dir=out, write_transcripts=True)
     alice = parse_transcript((out / "round_01_alice.transcript").read_text())
     bob = parse_transcript((out / "round_01_bob.transcript").read_text())
-    assert len(alice) == len(bob) == 64
-    assert all(r.bit is not None for r in alice)
+    assert alice.n_pulses == bob.n_pulses == 64
+    assert alice.bit is not None and alice.measured_bit is None
+    assert bob.bit is None and np.array_equal(bob.detected, alice.detected)
+    (t,) = result.transcripts
+    assert np.array_equal(alice.bit, t.bit) and np.array_equal(bob.measured_bit, t.measured_bit)
+
+
+def test_zero_transmittance_aborts_on_empty_sample():
+    result = run_session(scenario_from_dict(base_config(channel={"transmittance": 0.0})))
+    assert result.status == STATUS_ABORTED and result.reason == "empty-sample"
+    assert result.exit_code == EXIT_ABORTED
+    (report,) = result.rounds
+    assert report.n_detected == report.n_sifted == report.x_sample_size == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_single_pulse_session_runs(seed):
+    cfg = base_config(master_seed=seed)
+    cfg["protocol"] = {"n_pulses": 1, "decoy_probability": 0.0, "strategy": {"mode": "symmetric"}}
+    result = run_session(scenario_from_dict(cfg))
+    (report,) = result.rounds
+    assert report.n_pulses == 1 and report.n_detected <= 1
+    assert result.status in (STATUS_OK, STATUS_ABORTED)

@@ -12,28 +12,31 @@ from qkdkit.postproc.sifting import (
     announce_and_sift,
     estimate_eavesdropping,
 )
-from qkdkit.protocol import ProtocolConfig, PulseRecord, SessionSeeds, SymmetricRandom, run_quantum_phase
+from qkdkit.protocol import (
+    ProtocolConfig,
+    ProtocolError,
+    SessionSeeds,
+    SymmetricRandom,
+    Transcript,
+    run_quantum_phase,
+)
 
 S, D = IntensityClass.SIGNAL, IntensityClass.DECOY
 Z, X = Basis.Z, Basis.X
 
 
-def build_transcripts(rows):
+def build_transcript(rows) -> Transcript:
     """rows: (detected, intensity, alice_basis, bob_basis, alice_bit, bob_bit)"""
-    alice_t, bob_t = [], []
-    for i, (det, intensity, a_basis, b_basis, a_bit, b_bit) in enumerate(rows):
-        alice_t.append(
-            PulseRecord(index=i, bit=a_bit, basis=a_basis, intensity=intensity, detected=det)
-        )
-        bob_t.append(
-            PulseRecord(
-                index=i,
-                detected=det,
-                measured_bit=b_bit if det else None,
-                measured_basis=b_basis if det else None,
-            )
-        )
-    return alice_t, bob_t
+    det, intensity, a_basis, b_basis, a_bit, b_bit = zip(*rows)
+    detected = np.array(det, dtype=bool)
+    return Transcript(
+        detected=detected,
+        bit=np.array(a_bit, dtype=np.uint8),
+        basis=np.array(a_basis, dtype=np.uint8),
+        decoy=np.array(intensity) == D,
+        measured_basis=np.array(b_basis, dtype=np.uint8) * detected,
+        measured_bit=np.array([b or 0 for b in b_bit], dtype=np.uint8),
+    )
 
 
 def test_hand_applied_sift_rule():
@@ -46,8 +49,7 @@ def test_hand_applied_sift_rule():
         (True, S, Z, X, 0, 1),
         (True, S, Z, Z, 0, 0),
     ]
-    alice_t, bob_t = build_transcripts(rows)
-    sifted_a, sifted_b, x_sample, bundle, ledger = announce_and_sift(alice_t, bob_t)
+    sifted_a, sifted_b, x_sample, bundle, ledger = announce_and_sift(build_transcript(rows))
     assert sifted_a.bits.tolist() == [1, 0]  # indices 0 and 5
     assert sifted_b.bits.tolist() == [1, 0]
     assert sifted_a.stage is KeyStage.SIFTED
@@ -63,8 +65,7 @@ def test_decoy_matched_x_positions_stay_out_of_the_estimate():
         (True, D, X, X, 0, 1),  # decoy: announced, never estimated
         (True, S, X, X, 0, 0),
     ]
-    alice_t, bob_t = build_transcripts(rows)
-    _, _, x_sample, bundle, ledger = announce_and_sift(alice_t, bob_t)
+    _, _, x_sample, bundle, ledger = announce_and_sift(build_transcript(rows))
     assert x_sample.indices.tolist() == [0, 2]
     assert bundle.detected_indices.size == 3
     assert ledger.sifting_disclosed == 4
@@ -72,19 +73,24 @@ def test_decoy_matched_x_positions_stay_out_of_the_estimate():
 
 def test_nothing_sifted_out():
     rows = [(True, S, Z, Z, b, b) for b in (0, 1, 1, 0, 1)]
-    alice_t, bob_t = build_transcripts(rows)
-    sifted_a, sifted_b, x_sample, bundle, _ = announce_and_sift(alice_t, bob_t)
+    sifted_a, sifted_b, x_sample, bundle, _ = announce_and_sift(build_transcript(rows))
     assert sifted_a.length == len(rows) == bundle.detected_indices.size
     assert x_sample.size == 0
 
 
 def test_empty_input_sifts_to_nothing():
     rows = [(False, S, Z, Z, 0, None)] * 4
-    alice_t, bob_t = build_transcripts(rows)
-    sifted_a, sifted_b, x_sample, bundle, ledger = announce_and_sift(alice_t, bob_t)
+    sifted_a, sifted_b, x_sample, bundle, ledger = announce_and_sift(build_transcript(rows))
     assert sifted_a.length == sifted_b.length == 0
     assert x_sample.size == 0 and bundle.detected_indices.size == 0
     assert ledger.sifting_disclosed == 0
+
+
+def test_one_party_view_cannot_be_sifted():
+    t = build_transcript([(True, S, Z, Z, 1, 1)])
+    for party in ("alice", "bob"):
+        with pytest.raises(ProtocolError):
+            announce_and_sift(t.held_by(party))
 
 
 def test_ledger_counts_are_monotonic():
@@ -140,10 +146,8 @@ def test_threshold_domain_is_validated():
 def test_full_intercept_session_aborts_at_one_quarter():
     cfg = ProtocolConfig(n_pulses=100_000, strategy=SymmetricRandom(), decoy_probability=0.1)
     eve = EveModel(kind=EveKind.INTERCEPT_RESEND, fraction=1.0)
-    alice_t, bob_t = run_quantum_phase(
-        cfg, ChannelParams(transmittance=1.0), eve, SessionSeeds.from_master(13)
-    )
-    _, _, x_sample, _, _ = announce_and_sift(alice_t, bob_t)
+    t = run_quantum_phase(cfg, ChannelParams(transmittance=1.0), eve, SessionSeeds.from_master(13))
+    _, _, x_sample, _, _ = announce_and_sift(t)
     result = estimate_eavesdropping(x_sample, threshold=0.11)
     assert result.e_x == pytest.approx(0.25, abs=0.01)
     assert result.decision is Decision.ABORT
