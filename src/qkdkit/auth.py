@@ -104,7 +104,6 @@ class AuthKeyPool:
     def __init__(self, bits: np.ndarray | None = None):
         self._bits = as_bits(bits if bits is not None else np.zeros(0, dtype=np.uint8)).copy()
         self._offset = 0
-        self.round = 1
         self.consumption_log: list[tuple[int, int, str]] = []
 
     @property
@@ -131,9 +130,6 @@ class AuthKeyPool:
     def refill(self, bits: np.ndarray) -> None:
         """Append freshly grown secret bits for the following rounds."""
         self._bits = np.concatenate([self._bits, as_bits(bits)])
-
-    def advance_round(self) -> None:
-        self.round += 1
 
 
 @dataclass(frozen=True)

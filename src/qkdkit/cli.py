@@ -83,14 +83,12 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
     if args.seed is not None:
         scenario = replace(scenario, master_seed=args.seed)
-    if args.param not in SWEEPABLE_PARAMETERS:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}; choose from {SWEEPABLE_PARAMETERS}")
     values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     rows = sweep(scenario, args.param, values)
     out_dir = Path(args.out_dir or _default_out_dir())
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"sweep_{args.param}.csv"
-    write_sweep_csv(rows, csv_path, args.param)
+    write_sweep_csv(rows, csv_path)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -17,8 +17,9 @@ message whose payload carries all disclosed syndrome and parity bits.
 """
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -117,6 +118,7 @@ STATUS_EXIT_CODES = {
 }
 
 SWEEPABLE_PARAMETERS = ("p_z", "transmittance", "eve_fraction", "threshold")
+SWEEP_COLUMNS = ("parameter", "value", "n_sifted", "e_x", "decision", "final_length", "key_rate")
 
 
 @dataclass(frozen=True)
@@ -258,51 +260,27 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def _to_plain(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, tuple):
+        return [_to_plain(v) for v in value]
+    if isinstance(value, (SymmetricRandom, AsymmetricRandom, PresharedSequence)):
+        return _strategy_to_dict(value)
+    # a dataclass; an unset optional section (None) is left out, as in the config
+    values = {f.name: getattr(value, f.name) for f in fields(value)}
+    return {name: _to_plain(v) for name, v in values.items() if v is not None}
+
+
 def scenario_to_dict(s: Scenario) -> dict:
-    """Canonical dict form of a scenario, used for reports."""
-    out = {
-        "name": s.name,
-        "master_seed": s.master_seed,
-        "rounds": s.rounds,
-        "protocol": {
-            "n_pulses": s.protocol.n_pulses,
-            "decoy_probability": s.protocol.decoy_probability,
-            "strategy": _strategy_to_dict(s.protocol.strategy),
-        },
-        "channel": {
-            "transmittance": s.channel.transmittance,
-            "misalignment_error": s.channel.misalignment_error,
-            "decoy_detect_scale": s.channel.decoy_detect_scale,
-        },
-        "eve": {"kind": s.eve.kind.value, "fraction": s.eve.fraction},
-        "postproc": {
-            "threshold": s.postproc.threshold,
-            "verify_tag_bits": s.postproc.verify_tag_bits,
-            "security_margin": s.postproc.security_margin,
-            "ldpc_block_len": s.postproc.ldpc_block_len,
-            "code_rate": s.postproc.code_rate,
-        },
-        "auth": {
-            "mode": s.auth.mode,
-            "reserve_bits": s.auth.reserve_bits,
-            "preshared_pool_bits": s.auth.preshared_pool_bits,
-            "ots_keypairs": s.auth.ots_keypairs,
-            "ots_security_bits": s.auth.ots_security_bits,
-            "ots_digest_bits": s.auth.ots_digest_bits,
-            "ots_scheme": s.auth.ots_scheme,
-            "mac_tag_bits": s.auth.mac_tag_bits,
-            "mac_word_bits": s.auth.mac_word_bits,
-        },
-    }
-    if s.network is not None:
-        out["network"] = {
-            "topology_file": s.network.topology_file,
-            "requests": [
-                {"src": r.src, "dst": r.dst, "policy": r.policy.value, "key_len": r.key_len}
-                for r in s.network.requests
-            ],
-        }
-    return out
+    """Canonical dict form of a scenario, used for reports.
+
+    It is the config format of `scenario_from_dict`, derived field by field
+    from the dataclasses.
+    """
+    return _to_plain(s)
 
 
 @dataclass
@@ -324,6 +302,10 @@ class PublicMessage:
 
 @dataclass
 class RoundReport:
+    """One round's row; the fields after `sifting_disclosed` are set by the
+    stages after estimation, and keep their defaults when a round stops
+    before them."""
+
     round_no: int
     auth_mode: str
     n_pulses: int
@@ -334,14 +316,21 @@ class RoundReport:
     decision: str
     reason: Optional[str]
     sifting_disclosed: int
-    syndrome_bits: int
-    verification_bits: int
-    final_length: int
-    reserve_bits: int
-    application_bits: int
-    sustainable: bool
-    keys_equal: Optional[bool]
-    verified: Optional[bool]
+    syndrome_bits: int = 0
+    verification_bits: int = 0
+    final_length: int = 0
+    reserve_bits: int = 0
+    application_bits: int = 0
+    sustainable: bool = False
+    keys_equal: Optional[bool] = None
+    verified: Optional[bool] = None
+
+
+# rounds.csv and report.json columns: RoundReport's fields in order, with
+# round_no written as "round"; keys_equal and verified are checked in memory
+# and never written.
+_ROUND_FIELDS = tuple(f.name for f in fields(RoundReport) if f.name not in ("keys_equal", "verified"))
+ROUND_COLUMNS = tuple("round" if name == "round_no" else name for name in _ROUND_FIELDS)
 
 
 @dataclass
@@ -484,8 +473,6 @@ def run_session(scenario: Scenario, keep_transcripts: bool = False) -> SessionRe
             break
         if app_bits is not None and app_bits.size:
             application_keys.append(app_bits)
-        for pool in pools.values():
-            pool.advance_round()
 
     return SessionResult(
         scenario=scenario,
@@ -552,7 +539,7 @@ def _run_round(
     )
 
     est = estimate_eavesdropping(x_sample, pp.threshold)
-    base_report = dict(
+    report = RoundReport(
         round_no=round_no,
         auth_mode=mode.value,
         n_pulses=scenario.protocol.n_pulses,
@@ -562,6 +549,7 @@ def _run_round(
         e_x=None if est.e_x is None else round(est.e_x, 8),
         decision=est.decision.value,
         reason=est.reason,
+        sifting_disclosed=ledger.sifting_disclosed,
     )
 
     if est.decision is Decision.ABORT:
@@ -570,18 +558,6 @@ def _run_round(
             "alice",
             "estimation",
             {"decision": est.decision.value, "reason": est.reason or ""},
-        )
-        report = RoundReport(
-            **base_report,
-            sifting_disclosed=ledger.sifting_disclosed,
-            syndrome_bits=0,
-            verification_bits=0,
-            final_length=0,
-            reserve_bits=0,
-            application_bits=0,
-            sustainable=False,
-            keys_equal=None,
-            verified=None,
         )
         return report, None, None
 
@@ -615,20 +591,12 @@ def _run_round(
         disclosed={"verification": pp.verify_tag_bits},
     )
     messenger.send(round_no, "bob", "verify-ack", {"ok": verified})
+    report.syndrome_bits = ledger.syndrome_bits
+    report.verification_bits = ledger.verification_bits
+    report.verified = verified
 
     if not verified:
-        report = RoundReport(
-            **base_report,
-            sifting_disclosed=ledger.sifting_disclosed,
-            syndrome_bits=ledger.syndrome_bits,
-            verification_bits=ledger.verification_bits,
-            final_length=0,
-            reserve_bits=0,
-            application_bits=0,
-            sustainable=False,
-            keys_equal=bool(np.array_equal(sifted_a.bits, corrected_b.bits)),
-            verified=False,
-        )
+        report.keys_equal = bool(np.array_equal(sifted_a.bits, corrected_b.bits))
         return report, None, None
 
     verified_a = sifted_a.advanced(KeyStage.VERIFIED)
@@ -646,35 +614,22 @@ def _run_round(
         {"out_len": out_len, "seed": _hex(pa_seed.bits)},
     )
 
-    keys_equal = bool(np.array_equal(final_a.bits, final_b.bits))
-    reserve_len = scenario.auth.reserve_bits
-    sustainable = True
+    report.keys_equal = bool(np.array_equal(final_a.bits, final_b.bits))
+    report.final_length = out_len
     app_bits = np.zeros(0, dtype=np.uint8)
     try:
-        reserve_a, app_a = grow_keys(final_a, reserve_len)
-        reserve_b, _app_b = grow_keys(final_b, reserve_len)
+        reserve_a, app_bits = grow_keys(final_a, scenario.auth.reserve_bits)
+        reserve_b, _app_b = grow_keys(final_b, scenario.auth.reserve_bits)
         pools["alice"].refill(reserve_a)
         pools["bob"].refill(reserve_b)
-        app_bits = app_a
+        report.reserve_bits = scenario.auth.reserve_bits
+        report.sustainable = True
     except InsufficientKeyError:
         # keep authenticating as long as possible: everything to the pool
-        sustainable = False
-        reserve_len = final_a.length
-        pools["alice"].refill(final_a.consume() if not final_a.consumed else final_a.bits)
-        pools["bob"].refill(final_b.consume() if not final_b.consumed else final_b.bits)
-
-    report = RoundReport(
-        **base_report,
-        sifting_disclosed=ledger.sifting_disclosed,
-        syndrome_bits=ledger.syndrome_bits,
-        verification_bits=ledger.verification_bits,
-        final_length=out_len,
-        reserve_bits=reserve_len,
-        application_bits=int(app_bits.size),
-        sustainable=sustainable,
-        keys_equal=keys_equal,
-        verified=True,
-    )
+        report.reserve_bits = final_a.length
+        pools["alice"].refill(final_a.consume())
+        pools["bob"].refill(final_b.consume())
+    report.application_bits = int(app_bits.size)
     return report, (final_a.bits, final_b.bits), app_bits
 
 
@@ -733,25 +688,24 @@ def run_scenario(
     return result
 
 
+def _cell(value):
+    """A report value as written: None empty, bools 0/1, floats to 6 places."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value
+
+
 def _round_row(r: RoundReport) -> dict:
-    return {
-        "round": r.round_no,
-        "auth_mode": r.auth_mode,
-        "n_pulses": r.n_pulses,
-        "n_detected": r.n_detected,
-        "n_sifted": r.n_sifted,
-        "x_sample_size": r.x_sample_size,
-        "e_x": "" if r.e_x is None else f"{r.e_x:.6f}",
-        "decision": r.decision,
-        "reason": r.reason or "",
-        "sifting_disclosed": r.sifting_disclosed,
-        "syndrome_bits": r.syndrome_bits,
-        "verification_bits": r.verification_bits,
-        "final_length": r.final_length,
-        "reserve_bits": r.reserve_bits,
-        "application_bits": r.application_bits,
-        "sustainable": int(r.sustainable),
-    }
+    return {column: _cell(getattr(r, name)) for column, name in zip(ROUND_COLUMNS, _ROUND_FIELDS)}
+
+
+def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+    lines = [",".join(columns)] + [",".join(str(row[c]) for c in columns) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_reports(result: SessionResult, out_dir: Path, write_transcripts: bool = False) -> list[Path]:
@@ -771,16 +725,7 @@ def write_reports(result: SessionResult, out_dir: Path, write_transcripts: bool 
     written.append(report_path)
 
     csv_path = out_dir / "rounds.csv"
-    header = [
-        "round", "auth_mode", "n_pulses", "n_detected", "n_sifted", "x_sample_size",
-        "e_x", "decision", "reason", "sifting_disclosed", "syndrome_bits",
-        "verification_bits", "final_length", "reserve_bits", "application_bits", "sustainable",
-    ]
-    lines = [",".join(header)]
-    for r in result.rounds:
-        row = _round_row(r)
-        lines.append(",".join(str(row[h]) for h in header))
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_csv(csv_path, ROUND_COLUMNS, report["rounds"])
     written.append(csv_path)
 
     summary_lines = [
@@ -802,13 +747,8 @@ def write_reports(result: SessionResult, out_dir: Path, write_transcripts: bool 
 
     if result.network_rows:
         net_path = out_dir / "network.csv"
-        net_lines = ["src,dst,policy,path,key_len,exposed_by"]
-        for row in result.network_rows:
-            net_lines.append(
-                f"{row['src']},{row['dst']},{row['policy']},{row['path']},"
-                f"{row['key_len']},{row['exposed_by']}"
-            )
-        net_path.write_text("\n".join(net_lines) + "\n")
+        # columns are the keys of run_network's rows
+        _write_csv(net_path, tuple(result.network_rows[0]), result.network_rows)
         written.append(net_path)
 
     if write_transcripts:
@@ -821,64 +761,40 @@ def write_reports(result: SessionResult, out_dir: Path, write_transcripts: bool 
 
 
 def _with_parameter(scenario: Scenario, parameter: str, value: float) -> Scenario:
-    from dataclasses import replace
-
+    """`scenario` with one of SWEEPABLE_PARAMETERS set to `value`."""
     if parameter == "p_z":
-        protocol = ProtocolConfig(
-            n_pulses=scenario.protocol.n_pulses,
-            strategy=AsymmetricRandom(p_z=value),
-            decoy_probability=scenario.protocol.decoy_probability,
-        )
-        return replace(scenario, protocol=protocol)
+        return replace(scenario, protocol=replace(scenario.protocol, strategy=AsymmetricRandom(p_z=value)))
     if parameter == "transmittance":
         return replace(scenario, channel=replace(scenario.channel, transmittance=value))
     if parameter == "eve_fraction":
         kind = EveKind.INTERCEPT_RESEND if value > 0 else EveKind.NONE
         return replace(scenario, eve=EveModel(kind=kind, fraction=value))
-    if parameter == "threshold":
-        return replace(scenario, postproc=replace(scenario.postproc, threshold=value))
-    raise ConfigError(
-        f"unknown sweep parameter {parameter!r}; choose from {SWEEPABLE_PARAMETERS}"
-    )
+    return replace(scenario, postproc=replace(scenario.postproc, threshold=value))
 
 
 def sweep(scenario: Scenario, parameter: str, values: list[float]) -> list[dict]:
-    """Run one single-round session per grid point, in ascending order."""
-    from dataclasses import replace
+    """Run one single-round session per grid point, in ascending order.
 
+    Each row holds SWEEP_COLUMNS; the round's cells are formatted as in
+    rounds.csv.
+    """
+    if parameter not in SWEEPABLE_PARAMETERS:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEPABLE_PARAMETERS}")
     rows = []
     for value in sorted(values):
-        point = _with_parameter(replace(scenario, rounds=1), parameter, value)
-        result = run_session(point)
+        result = run_session(_with_parameter(replace(scenario, rounds=1), parameter, value))
         if result.rounds:
             r = result.rounds[0]
-            e_x = "" if r.e_x is None else f"{r.e_x:.6f}"
-            row = {
-                "parameter": parameter,
-                "value": value,
-                "n_sifted": r.n_sifted,
-                "e_x": e_x,
-                "decision": r.decision,
-                "final_length": r.final_length,
-                "key_rate": f"{r.final_length / r.n_pulses:.6f}",
-            }
+            cells = _round_row(r)
+            key_rate = r.final_length / r.n_pulses
         else:
-            row = {
-                "parameter": parameter,
-                "value": value,
-                "n_sifted": 0,
-                "e_x": "",
-                "decision": result.status,
-                "final_length": 0,
-                "key_rate": f"{0:.6f}",
-            }
-        rows.append(row)
+            # the round failed before it could report; the status stands in
+            cells = {"n_sifted": 0, "e_x": "", "decision": result.status, "final_length": 0}
+            key_rate = 0.0
+        cells.update(parameter=parameter, value=value, key_rate=f"{key_rate:.6f}")
+        rows.append({column: cells[column] for column in SWEEP_COLUMNS})
     return rows
 
 
-def write_sweep_csv(rows: list[dict], path: Path, parameter: str) -> None:
-    header = ["parameter", "value", "n_sifted", "e_x", "decision", "final_length", "key_rate"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[h]) for h in header))
-    path.write_text("\n".join(lines) + "\n")
+def write_sweep_csv(rows: list[dict], path: Path) -> None:
+    _write_csv(path, SWEEP_COLUMNS, rows)

@@ -101,6 +101,7 @@ def test_empty_sweep_emits_header_only(tmp_path):
 def test_sweep_unknown_parameter_exits_one(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--param", "nope", "--values", "1"]) == EXIT_CONFIG_ERROR
+    assert main(["sweep", "--config", str(cfg), "--param", "nope", "--values", ""]) == EXIT_CONFIG_ERROR
 
 
 def test_topology_check(tmp_path, capsys):

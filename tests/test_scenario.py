@@ -13,12 +13,15 @@ from qkdkit.scenario import (
     STATUS_DECODE_FAILURE,
     STATUS_OK,
     STATUS_POOL_EXHAUSTED,
+    RoundReport,
+    SessionResult,
     load_scenario,
     run_scenario,
     run_session,
     scenario_from_dict,
     scenario_to_dict,
     sweep,
+    write_reports,
 )
 
 
@@ -57,10 +60,65 @@ def test_config_file_parse_errors_are_line_precise(tmp_path):
         load_scenario(bad)
 
 
-def test_round_trip_through_canonical_dict():
-    scenario = scenario_from_dict(base_config())
+# base_config() in canonical form, every default written out
+CANONICAL_BASE = {
+    "name": "test",
+    "master_seed": 101,
+    "rounds": 1,
+    "protocol": {"n_pulses": 16384, "decoy_probability": 0.1, "strategy": {"mode": "symmetric"}},
+    "channel": {"transmittance": 0.9, "misalignment_error": 0.0, "decoy_detect_scale": 1.0},
+    "eve": {"kind": "none", "fraction": 0.0},
+    "postproc": {
+        "threshold": 0.11, "verify_tag_bits": 64, "security_margin": 32,
+        "ldpc_block_len": 0, "code_rate": "auto",
+    },
+    "auth": {
+        "mode": "ots_bootstrap", "reserve_bits": 2048, "preshared_pool_bits": 0,
+        "ots_keypairs": 12, "ots_security_bits": 128, "ots_digest_bits": 128,
+        "ots_scheme": "lamport", "mac_tag_bits": 64, "mac_word_bits": 64,
+    },
+}
+NETWORK_SECTION = {
+    "topology_file": "metro.topo",
+    "requests": [
+        {"src": "alice", "dst": "bob", "policy": "hybrid_xor", "key_len": 256},
+        {"src": "carol", "dst": "bob", "policy": "pqc_only", "key_len": 128},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, expected_sections",
+    [
+        ({}, {}),
+        (
+            {"protocol": {"n_pulses": 64, "strategy": {"mode": "asymmetric", "p_z": 0.7}}},
+            {"protocol": {"n_pulses": 64, "decoy_probability": 0.1,
+                          "strategy": {"mode": "asymmetric", "p_z": 0.7}}},
+        ),
+        (
+            {"protocol": {"n_pulses": 64, "strategy": {"mode": "preshared", "shared_seed_hex": "00FF13a7"}}},
+            {"protocol": {"n_pulses": 64, "decoy_probability": 0.1,
+                          "strategy": {"mode": "preshared", "shared_seed_hex": "00ff13a7"}}},
+        ),
+        (
+            {"eve": {"kind": "intercept_resend", "fraction": 0.25}},
+            {"eve": {"kind": "intercept_resend", "fraction": 0.25}},
+        ),
+        (
+            {"auth": {"ots_scheme": "winternitz", "mac_word_bits": 16}},
+            {"auth": {**CANONICAL_BASE["auth"], "ots_scheme": "winternitz", "mac_word_bits": 16}},
+        ),
+        ({"network": NETWORK_SECTION}, {"network": NETWORK_SECTION}),
+    ],
+    ids=["symmetric", "asymmetric", "preshared", "intercept-resend", "winternitz", "network"],
+)
+def test_round_trip_through_canonical_dict(overrides, expected_sections):
+    scenario = scenario_from_dict(base_config(**overrides))
     canonical = scenario_to_dict(scenario)
+    assert canonical == {**CANONICAL_BASE, **expected_sections}
     again = scenario_from_dict(canonical)
+    assert again == scenario
     assert scenario_to_dict(again) == canonical
 
 
@@ -179,6 +237,8 @@ def test_sweep_unknown_parameter():
     scenario = scenario_from_dict(base_config())
     with pytest.raises(ConfigError):
         sweep(scenario, "bogus", [1.0])
+    with pytest.raises(ConfigError):
+        sweep(scenario, "bogus", [])
 
 
 def test_network_rows_written_with_reports(tmp_path):
@@ -252,3 +312,89 @@ def test_single_pulse_session_runs(seed):
     (report,) = result.rounds
     assert report.n_pulses == 1 and report.n_detected <= 1
     assert result.status in (STATUS_OK, STATUS_ABORTED)
+
+
+ROUNDS_HEADER = (
+    "round,auth_mode,n_pulses,n_detected,n_sifted,x_sample_size,e_x,decision,reason,"
+    "sifting_disclosed,syndrome_bits,verification_bits,final_length,reserve_bits,"
+    "application_bits,sustainable\n"
+)
+
+
+def _hand_built_result(rounds: list[RoundReport], **kwargs) -> SessionResult:
+    return SessionResult(
+        scenario=scenario_from_dict(base_config(rounds=3)),
+        rounds=rounds,
+        messages=[],
+        application_keys=[],
+        final_keys=[],
+        transcripts=[],
+        **kwargs,
+    )
+
+
+def test_write_reports_formats(tmp_path):
+    ok = RoundReport(
+        round_no=1, auth_mode="ots", n_pulses=100, n_detected=90, n_sifted=45,
+        x_sample_size=9, e_x=0.0123456789, decision="proceed", reason=None,
+        sifting_disclosed=18, syndrome_bits=12, verification_bits=4, final_length=7,
+        reserve_bits=5, application_bits=2, sustainable=True, keys_equal=True, verified=True,
+    )
+    aborted = RoundReport(
+        round_no=2, auth_mode="wegman-carter", n_pulses=100, n_detected=0, n_sifted=0,
+        x_sample_size=0, e_x=None, decision="abort", reason="empty-sample", sifting_disclosed=0,
+    )
+    network_row = {
+        "src": "A", "dst": "B", "policy": "hybrid_xor", "path": "A->R->B",
+        "key_len": 64, "exposed_by": "A;B",
+    }
+    result = _hand_built_result(
+        [ok, aborted], status=STATUS_ABORTED, reason="empty-sample", network_rows=[network_row]
+    )
+    written = write_reports(result, tmp_path)
+    assert [path.name for path in written] == ["report.json", "rounds.csv", "summary.txt", "network.csv"]
+
+    assert (tmp_path / "rounds.csv").read_text() == ROUNDS_HEADER + (
+        "1,ots,100,90,45,9,0.012346,proceed,,18,12,4,7,5,2,1\n"
+        "2,wegman-carter,100,0,0,0,,abort,empty-sample,0,0,0,0,0,0,0\n"
+    )
+    assert (tmp_path / "summary.txt").read_text() == (
+        "scenario: test\n"
+        "status: aborted (empty-sample)\n"
+        "rounds completed: 2 of 3\n"
+        "  round 1: auth=ots sifted=45 e_x=0.0123 decision=proceed "
+        "leakage(sift/synd/verif)=18/12/4 final=7 app=2\n"
+        "  round 2: auth=wegman-carter sifted=0 e_x=n/a decision=abort "
+        "leakage(sift/synd/verif)=0/0/0 final=0 app=0\n"
+    )
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["rounds"] == [
+        {
+            "round": 1, "auth_mode": "ots", "n_pulses": 100, "n_detected": 90, "n_sifted": 45,
+            "x_sample_size": 9, "e_x": "0.012346", "decision": "proceed", "reason": "",
+            "sifting_disclosed": 18, "syndrome_bits": 12, "verification_bits": 4,
+            "final_length": 7, "reserve_bits": 5, "application_bits": 2, "sustainable": 1,
+        },
+        {
+            "round": 2, "auth_mode": "wegman-carter", "n_pulses": 100, "n_detected": 0,
+            "n_sifted": 0, "x_sample_size": 0, "e_x": "", "decision": "abort",
+            "reason": "empty-sample", "sifting_disclosed": 0, "syndrome_bits": 0,
+            "verification_bits": 0, "final_length": 0, "reserve_bits": 0,
+            "application_bits": 0, "sustainable": 0,
+        },
+    ]
+    assert (report["status"], report["reason"], report["exit_code"]) == (
+        STATUS_ABORTED, "empty-sample", EXIT_ABORTED
+    )
+    assert report["scenario"] == CANONICAL_BASE | {"rounds": 3}
+    assert (tmp_path / "network.csv").read_text() == (
+        "src,dst,policy,path,key_len,exposed_by\nA,B,hybrid_xor,A->R->B,64,A;B\n"
+    )
+
+
+def test_write_reports_without_rounds(tmp_path):
+    result = _hand_built_result([], status=STATUS_POOL_EXHAUSTED, reason="pool holds 0 bits")
+    written = write_reports(result, tmp_path)
+    assert [path.name for path in written] == ["report.json", "rounds.csv", "summary.txt"]
+    assert (tmp_path / "rounds.csv").read_text() == ROUNDS_HEADER
+    assert json.loads((tmp_path / "report.json").read_text())["rounds"] == []
