@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,25 @@ def test_poly_compress_separates_equal_length_single_blocks():
     # single-block messages of equal length differ deterministically
     for alpha in range(16):
         assert poly_compress(b"\xa0", alpha, 8) != poly_compress(b"\xa1", alpha, 8)
+
+
+# poly_compress of default_rng(9).bytes(n) for n = 0, 1, 9, 1001, keyed by
+# alpha = 0x9E3779B97F4A7C15 mod 2^w
+POLY_COMPRESS_GOLDEN = {
+    4: [0, 8, 12, 9],
+    8: [0, 137, 208, 149],
+    16: [0, 49621, 17240, 47021],
+    32: [0, 3679707455, 372640788, 171513267],
+    64: [0, 15040841656495759556, 14625162192204276622, 17871303646176066603],
+}
+
+
+@pytest.mark.parametrize("word_bits", sorted(POLY_COMPRESS_GOLDEN))
+def test_poly_compress_golden(word_bits):
+    messages = [np.random.default_rng(9).bytes(n) for n in (0, 1, 9, 1001)]
+    alpha = 0x9E3779B97F4A7C15 % (1 << word_bits)
+    got = [poly_compress(m, alpha, word_bits) for m in messages]
+    assert got == POLY_COMPRESS_GOLDEN[word_bits]
 
 
 def test_mac_roundtrip_and_lockstep():
@@ -226,6 +247,48 @@ def test_winternitz_wire_format_roundtrip():
     assert images == kp.public and security_bits == 64 and digest_bits == 48
     with pytest.raises(ValueError):
         import_ots_public(blob[:-1])
+
+
+# SHA-256 of the exported public key and of the joined revealed values of
+# ots_sign(b"golden", kp), for ots_keygen(default_rng(7), 64, 48, scheme, window)
+OTS_GOLDEN = {
+    ("lamport", 4): (
+        "05f24f1147a930952fc9dd2ea80b101d868eb0c23dc4c759b00ca397256ec30c",
+        "7bf7613aea9930ef46f9f5ff501cfa8d1265a74d733d4787db0ec595c6fe7b8c",
+    ),
+    ("winternitz", 1): (
+        "8a6183595e35daefc3c223d6b773bb9e442c85f39ecd1112a3be2a4a1997a01a",
+        "2dc3d9cba67411f1023f0af70322358516b0c628f14b4b9524b38c21b2551efa",
+    ),
+    ("winternitz", 3): (
+        "5e543fa1c1298724c252bc57392bc4546d9f22f51d4d8782f0317ac38b7bb1d0",
+        "2fbd0a9cbe4caf0bb58c61d13340702abc11be29e3b80c4f9f2a99951a95bf90",
+    ),
+    ("winternitz", 4): (
+        "a30a1b2a0591442a3cfcf08a18422ef7e13247d0686dbc7bd0a49d153e214aa3",
+        "a2289bb2464c2073040404f7eeb8d2d4f9e690c7dba452b945b5630909ac0a20",
+    ),
+    # 48 is not a multiple of 5: the last digest chunk is zero-padded
+    ("winternitz", 5): (
+        "f677ee4035eb119b4112361351961ccf1338facd59d0b60aa01bf16a819de9a8",
+        "050ae1932e2edc850d3bb2c9d5775ec0a9943acc483c268b0fa839e1418a7e8f",
+    ),
+    ("winternitz", 8): (
+        "6344b32a470c24b072f887201c36bf14f8d1fd215642fb63a215bbe8fe426929",
+        "b4a09adda867fcaf2b545eb3fa982338997f43d7812ac6618fe8269242bbdef9",
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme,window", sorted(OTS_GOLDEN))
+def test_ots_golden(scheme, window):
+    kp = ots_keygen(np.random.default_rng(7), security_bits=64, digest_bits=48, scheme=scheme, window=window)
+    blob = export_ots_public(kp)
+    sig = ots_sign(b"golden", kp)
+    want_public, want_signature = OTS_GOLDEN[scheme, window]
+    assert hashlib.sha256(blob).hexdigest() == want_public
+    assert hashlib.sha256(b"".join(sig.revealed)).hexdigest() == want_signature
+    assert ots_verify(b"golden", sig, import_ots_public(blob)[0])
 
 
 def test_winternitz_sessions_bootstrap_like_lamport():
