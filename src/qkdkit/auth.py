@@ -11,19 +11,21 @@ the next round's authentication. The forgery probability is bounded by
 2^-t plus L * 2^-w for an L-block message.
 
 The very first round, which has no shared secret yet, is authenticated
-with hash-based one-time signatures (Lamport keypairs over SHA-256); once
-a final key exists, part of it refills the pool and the MAC takes over.
+with hash-based one-time signatures (Lamport or Winternitz hash chains over
+SHA-256); once a final key exists, part of it refills the pool and the MAC
+takes over.
 """
 from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .bits import as_bits, bits_from_bytes, bits_to_int, int_to_bits
+from .bits import as_bits, bits_to_int, int_to_bits
 from .keys import KeyMaterial, KeyStage
 from .postproc.distill import ToeplitzSeed, toeplitz_apply
 
@@ -52,6 +54,29 @@ def gf_mul(a: int, b: int, word_bits: int) -> int:
     return result
 
 
+def _blocks(data: bytes, n_bits: int, width: int) -> Iterator[int]:
+    """The first n_bits of data as big-endian width-bit integers.
+
+    The last block is zero-padded. The data is read lcm(8, width) bits at a
+    time, so no bit array of it is ever built.
+    """
+    step = math.lcm(8, width)
+    n_bytes = step // 8
+    mask = (1 << width) - 1
+    shifts = range(step - width, -1, -width)
+    full, tail = divmod(n_bits, step)
+    for off in range(0, full * n_bytes, n_bytes):
+        value = int.from_bytes(data[off : off + n_bytes], "big")
+        for shift in shifts:
+            yield (value >> shift) & mask
+    if tail:
+        # the tail bits, left-aligned in a zero-padded read
+        raw = data[full * n_bytes : full * n_bytes + (tail + 7) // 8]
+        value = (int.from_bytes(raw, "big") >> (8 * len(raw) - tail)) << (step - tail)
+        for shift in shifts[: -(-tail // width)]:
+            yield (value >> shift) & mask
+
+
 def poly_compress(message: bytes, alpha: int, word_bits: int) -> int:
     """Polynomial hash of a byte string into one GF(2^w) word.
 
@@ -62,22 +87,9 @@ def poly_compress(message: bytes, alpha: int, word_bits: int) -> int:
     """
     if word_bits not in _GF_MODULI:
         raise ValueError(f"word_bits must be one of {sorted(_GF_MODULI)}")
-    word_bytes = word_bits // 8 if word_bits >= 8 else 1
     acc = (8 * len(message)) % (1 << word_bits)
-    if word_bits >= 8:
-        for off in range(0, len(message), word_bytes):
-            block = int.from_bytes(message[off : off + word_bytes].ljust(word_bytes, b"\0"), "big")
-            acc = gf_mul(acc, alpha, word_bits) ^ block
-    else:
-        # sub-byte words: consume the message bit by bit in w-bit groups
-        bits = bits_from_bytes(message)
-        for off in range(0, bits.size, word_bits):
-            group = bits[off : off + word_bits]
-            block = 0
-            for bit in group:
-                block = (block << 1) | int(bit)
-            block <<= word_bits - group.size
-            acc = gf_mul(acc, alpha, word_bits) ^ block
+    for block in _blocks(message, 8 * len(message), word_bits):
+        acc = gf_mul(acc, alpha, word_bits) ^ block
     return acc
 
 
@@ -198,9 +210,16 @@ def wc_verify(message: bytes, tag: MacTag, pool: AuthKeyPool) -> VerifyResult:
 
 
 # ---------------------------------------------------------------------------
-# Hash-based one-time signatures over SHA-256. Lamport is the concrete
-# default; a Winternitz variant (shorter signatures, hash chains with a
-# checksum) sits behind the same keygen/sign/verify interface.
+# Hash-based one-time signatures over SHA-256. A keypair is a list of hash
+# chains: the secret holds their starts, the public key their ends, and a
+# signature reveals one point on some of them, which the verifier hashes
+# forward to the chain's end. Lamport (the default) has two one-step chains
+# per digest bit, chain 2i for bit value 0 and 2i+1 for 1, and reveals the
+# start of the one the bit selects. Winternitz has one (2^window - 1)-step
+# chain per window-bit digest chunk plus checksum chunks, and reveals the
+# point `chunk` steps from the start; the checksum sum(top - chunk) forces
+# any digest tampering to lower at least one chunk, which a forger cannot
+# do without inverting a chain.
 
 SCHEME_LAMPORT = "lamport"
 SCHEME_WINTERNITZ = "winternitz"
@@ -214,54 +233,48 @@ def _ots_hash(data: bytes, out_bits: int) -> bytes:
     return hashlib.sha256(data).digest()[: (out_bits + 7) // 8]
 
 
-def _message_digest_bits(message: bytes, digest_bits: int) -> list[int]:
-    digest = hashlib.sha256(message).digest()
-    bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8))
-    return [int(b) for b in bits[:digest_bits]]
-
-
-def _wots_chunks(message: bytes, digest_bits: int, window: int) -> list[int]:
-    """Digest chunks plus checksum chunks, each in [0, 2^window - 1].
-
-    The checksum sum(top - chunk) forces any digest tampering to lower at
-    least one chunk, which a forger cannot do without inverting a chain.
-    """
-    bits = _message_digest_bits(message, digest_bits)
-    chunks = []
-    for off in range(0, digest_bits, window):
-        group = bits[off : off + window]
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        value <<= window - len(group)
-        chunks.append(value)
-    top = (1 << window) - 1
-    checksum = sum(top - c for c in chunks)
-    n_checksum = 1
-    while (1 << (window * n_checksum)) <= len(chunks) * top:
-        n_checksum += 1
-    for i in range(n_checksum - 1, -1, -1):
-        chunks.append((checksum >> (window * i)) & top)
-    return chunks
-
-
 def _chain(value: bytes, steps: int, security_bits: int) -> bytes:
     for _ in range(steps):
         value = _ots_hash(value, security_bits)
     return value
 
 
+def _chain_shape(scheme: str, digest_bits: int, window: int) -> tuple[int, int]:
+    """(number of chains, hash steps from a chain's start to its end)."""
+    if scheme == SCHEME_LAMPORT:
+        return 2 * digest_bits, 1
+    if scheme != SCHEME_WINTERNITZ:
+        raise ValueError(f"unknown signature scheme {scheme!r}")
+    if not 1 <= window <= 8:
+        raise ValueError("window must lie in [1, 8]")
+    top = (1 << window) - 1
+    n_chunks = -(-digest_bits // window)
+    # enough window-bit checksum chunks to hold the largest sum, n_chunks * top
+    n_checksum = max(1, -(-(n_chunks * top).bit_length() // window))
+    return n_chunks + n_checksum, top
+
+
+def _revealed_points(
+    message: bytes, scheme: str, digest_bits: int, window: int
+) -> list[tuple[int, int]]:
+    """(chain, steps from its start) of each value a signature reveals."""
+    n_chains, top = _chain_shape(scheme, digest_bits, window)
+    digest = hashlib.sha256(message).digest()
+    if scheme == SCHEME_LAMPORT:
+        return [(2 * i + bit, 0) for i, bit in enumerate(_blocks(digest, digest_bits, 1))]
+    chunks = list(_blocks(digest, digest_bits, window))
+    checksum = sum(top - c for c in chunks)
+    chunks += [(checksum >> (window * i)) & top for i in reversed(range(n_chains - len(chunks)))]
+    return list(enumerate(chunks))
+
+
 @dataclass
 class OtsKeypair:
-    """One one-time keypair, usable exactly once.
+    """One one-time keypair, usable exactly once: chain starts (`secret`)
+    and chain ends (`public`) in chain order."""
 
-    Lamport: secret/public hold 2 values per digest bit as (for-0, for-1)
-    pairs. Winternitz: one hash-chain start/end per chunk, with `window`
-    bits consumed per chain.
-    """
-
-    secret: list
-    public: list
+    secret: list[bytes]
+    public: list[bytes]
     security_bits: int
     digest_bits: int
     scheme: str = SCHEME_LAMPORT
@@ -289,151 +302,72 @@ def ots_keygen(
         raise ValueError("security_bits must be a multiple of 8 in [8, 256]")
     if digest_bits < 1 or digest_bits > 256:
         raise ValueError("digest_bits must lie in [1, 256]")
-    n_bytes = security_bits // 8
-    if scheme == SCHEME_LAMPORT:
-        secret = []
-        public = []
-        for _ in range(digest_bits):
-            pre0 = rng.bytes(n_bytes)
-            pre1 = rng.bytes(n_bytes)
-            secret.append((pre0, pre1))
-            public.append((_ots_hash(pre0, security_bits), _ots_hash(pre1, security_bits)))
-        return OtsKeypair(
-            secret=secret, public=public, security_bits=security_bits, digest_bits=digest_bits
-        )
-    if scheme == SCHEME_WINTERNITZ:
-        if not 1 <= window <= 8:
-            raise ValueError("window must lie in [1, 8]")
-        n_chains = len(_wots_chunks(b"", digest_bits, window))
-        top = (1 << window) - 1
-        secret = [rng.bytes(n_bytes) for _ in range(n_chains)]
-        public = [_chain(s, top, security_bits) for s in secret]
-        return OtsKeypair(
-            secret=secret,
-            public=public,
-            security_bits=security_bits,
-            digest_bits=digest_bits,
-            scheme=scheme,
-            window=window,
-        )
-    raise ValueError(f"unknown signature scheme {scheme!r}")
+    n_chains, length = _chain_shape(scheme, digest_bits, window)
+    secret = [rng.bytes(security_bits // 8) for _ in range(n_chains)]
+    public = [_chain(start, length, security_bits) for start in secret]
+    return OtsKeypair(secret, public, security_bits, digest_bits, scheme, window)
 
 
 def ots_sign(message: bytes, keypair: OtsKeypair) -> OtsSignature:
-    """Reveal the per-chunk secrets or chain values; marks the key used."""
+    """Reveal one point per digest bit or chunk; marks the key used."""
     if keypair.used:
         raise KeyReuseError("one-time signing key has already signed a message")
     keypair.used = True
-    if keypair.scheme == SCHEME_LAMPORT:
-        bits = _message_digest_bits(message, keypair.digest_bits)
-        revealed = [keypair.secret[i][bit] for i, bit in enumerate(bits)]
-    else:
-        chunks = _wots_chunks(message, keypair.digest_bits, keypair.window)
-        revealed = [
-            _chain(keypair.secret[i], chunk, keypair.security_bits)
-            for i, chunk in enumerate(chunks)
-        ]
-    return OtsSignature(
-        revealed=revealed,
-        digest_bits=keypair.digest_bits,
-        scheme=keypair.scheme,
-        window=keypair.window,
+    points = _revealed_points(message, keypair.scheme, keypair.digest_bits, keypair.window)
+    revealed = [_chain(keypair.secret[c], steps, keypair.security_bits) for c, steps in points]
+    return OtsSignature(revealed, keypair.digest_bits, keypair.scheme, keypair.window)
+
+
+def ots_verify(message: bytes, sig: OtsSignature, public: list[bytes]) -> bool:
+    """Hash each revealed value forward and compare it with its chain's end."""
+    try:
+        n_chains, length = _chain_shape(sig.scheme, sig.digest_bits, sig.window)
+        points = _revealed_points(message, sig.scheme, sig.digest_bits, sig.window)
+    except ValueError:
+        return False
+    if not public or len(public) != n_chains or len(sig.revealed) != len(points):
+        return False
+    security_bits = 8 * len(public[0])
+    return all(
+        len(value) == len(public[c]) and _chain(value, length - steps, security_bits) == public[c]
+        for value, (c, steps) in zip(sig.revealed, points)
     )
 
 
-def ots_verify(message: bytes, sig: OtsSignature, public: list) -> bool:
-    """Check revealed values against the public images."""
-    if not public or len(sig.revealed) != len(public):
-        return False
-    if sig.scheme == SCHEME_LAMPORT:
-        if sig.digest_bits != len(public):
-            return False
-        bits = _message_digest_bits(message, sig.digest_bits)
-        security_bits = 8 * len(public[0][0])
-        for i, bit in enumerate(bits):
-            revealed = sig.revealed[i]
-            if len(revealed) != len(public[i][bit]):
-                return False
-            if _ots_hash(revealed, security_bits) != public[i][bit]:
-                return False
-        return True
-    if sig.scheme == SCHEME_WINTERNITZ:
-        chunks = _wots_chunks(message, sig.digest_bits, sig.window)
-        if len(chunks) != len(public):
-            return False
-        top = (1 << sig.window) - 1
-        security_bits = 8 * len(public[0])
-        for i, chunk in enumerate(chunks):
-            revealed = sig.revealed[i]
-            if len(revealed) != len(public[i]):
-                return False
-            if _chain(revealed, top - chunk, security_bits) != public[i]:
-                return False
-        return True
-    return False
-
-
-_OTS_MAGIC = b"OTP1"
-_WOTS_MAGIC = b"OTW1"
+_OTS_MAGIC = {SCHEME_LAMPORT: b"OTP1", SCHEME_WINTERNITZ: b"OTW1"}
 
 
 def export_ots_public(keypair: OtsKeypair) -> bytes:
     """Serialize the public key.
 
-    Lamport: `OTP1`, lambda and L as uint32 BE, then the 2L hash images in
-    (bit, value) order. Winternitz: `OTW1`, lambda, L and window as uint32
-    BE, then one chain-end image per chunk.
+    Lamport: `OTP1`, lambda and L as uint32 BE. Winternitz: `OTW1`, lambda,
+    L and window as uint32 BE. Then the chain ends in chain order.
     """
-    if keypair.scheme == SCHEME_LAMPORT:
-        blob = bytearray(_OTS_MAGIC)
-        blob += keypair.security_bits.to_bytes(4, "big")
-        blob += keypair.digest_bits.to_bytes(4, "big")
-        for img0, img1 in keypair.public:
-            blob += img0
-            blob += img1
-        return bytes(blob)
-    blob = bytearray(_WOTS_MAGIC)
-    blob += keypair.security_bits.to_bytes(4, "big")
-    blob += keypair.digest_bits.to_bytes(4, "big")
-    blob += keypair.window.to_bytes(4, "big")
-    for img in keypair.public:
-        blob += img
-    return bytes(blob)
+    header = [keypair.security_bits, keypair.digest_bits]
+    if keypair.scheme == SCHEME_WINTERNITZ:
+        header.append(keypair.window)
+    fields = b"".join(value.to_bytes(4, "big") for value in header)
+    return _OTS_MAGIC[keypair.scheme] + fields + b"".join(keypair.public)
 
 
-def import_ots_public(blob: bytes) -> tuple[list, int, int]:
-    """Parse an exported public key; returns (images, security_bits, digest_bits)."""
-    if len(blob) >= 12 and blob[:4] == _OTS_MAGIC:
-        security_bits = int.from_bytes(blob[4:8], "big")
-        digest_bits = int.from_bytes(blob[8:12], "big")
-        n_bytes = security_bits // 8
-        expected = 12 + 2 * digest_bits * n_bytes
-        if not security_bits or security_bits % 8 or len(blob) != expected:
-            raise ValueError(
-                f"malformed public key blob: expected {expected} bytes, got {len(blob)}"
-            )
-        images = []
-        off = 12
-        for _ in range(digest_bits):
-            images.append((blob[off : off + n_bytes], blob[off + n_bytes : off + 2 * n_bytes]))
-            off += 2 * n_bytes
-        return images, security_bits, digest_bits
-    if len(blob) >= 16 and blob[:4] == _WOTS_MAGIC:
-        security_bits = int.from_bytes(blob[4:8], "big")
-        digest_bits = int.from_bytes(blob[8:12], "big")
-        window = int.from_bytes(blob[12:16], "big")
-        n_bytes = security_bits // 8
-        if not security_bits or security_bits % 8 or not 1 <= window <= 8:
-            raise ValueError("malformed public key blob header")
-        n_chains = len(_wots_chunks(b"", digest_bits, window))
-        expected = 16 + n_chains * n_bytes
-        if len(blob) != expected:
-            raise ValueError(
-                f"malformed public key blob: expected {expected} bytes, got {len(blob)}"
-            )
-        images = [blob[16 + i * n_bytes : 16 + (i + 1) * n_bytes] for i in range(n_chains)]
-        return images, security_bits, digest_bits
-    raise ValueError("not a recognized one-time-signature public key blob")
+def import_ots_public(blob: bytes) -> tuple[list[bytes], int, int]:
+    """Parse an exported public key; returns (chain ends, security_bits, digest_bits)."""
+    scheme = next((s for s, magic in _OTS_MAGIC.items() if blob[:4] == magic), None)
+    header_len = 16 if scheme == SCHEME_WINTERNITZ else 12
+    if scheme is None or len(blob) < header_len:
+        raise ValueError("not a recognized one-time-signature public key blob")
+    security_bits = int.from_bytes(blob[4:8], "big")
+    digest_bits = int.from_bytes(blob[8:12], "big")
+    window = int.from_bytes(blob[12:header_len], "big")  # 0 for Lamport, which has no window
+    if not security_bits or security_bits % 8:
+        raise ValueError("malformed public key blob header")
+    n_chains, _ = _chain_shape(scheme, digest_bits, window)
+    n_bytes = security_bits // 8
+    expected = header_len + n_chains * n_bytes
+    if len(blob) != expected:
+        raise ValueError(f"malformed public key blob: expected {expected} bytes, got {len(blob)}")
+    ends = [blob[off : off + n_bytes] for off in range(header_len, expected, n_bytes)]
+    return ends, security_bits, digest_bits
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +412,7 @@ class OtsContext:
     """Ordered batch of one-time keypairs plus the peer's public halves."""
 
     keypairs: list[OtsKeypair] = field(default_factory=list)
-    peer_publics: list[list[tuple[bytes, bytes]]] = field(default_factory=list)
+    peer_publics: list[list[bytes]] = field(default_factory=list)
     next_index: int = 0
 
     def remaining(self) -> int:

@@ -11,6 +11,7 @@ the result secret.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 from collections import deque
@@ -65,12 +66,15 @@ class NetworkTopology:
     """Simple graph of end users and trusted relays.
 
     qkd_links map edges to their per-scenario key budget in bits;
-    pqc_links are classical edges with post-quantum capability.
+    pqc_links are classical edges with post-quantum capability. Each link
+    kind also keeps every node's neighbors in sorted order.
     """
 
     nodes: dict[str, NodeRole] = field(default_factory=dict)
     qkd_links: dict[tuple[str, str], int] = field(default_factory=dict)
     pqc_links: set[tuple[str, str]] = field(default_factory=set)
+    qkd_adjacency: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
+    pqc_adjacency: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
 
     def add_node(self, name: str, role: NodeRole) -> None:
         if name in self.nodes:
@@ -85,6 +89,7 @@ class NetworkTopology:
         if budget < 0:
             raise TopologyError("link budget must be non-negative")
         self.qkd_links[edge] = budget
+        _connect(self.qkd_adjacency, a, b)
 
     def add_pqc_link(self, a: str, b: str) -> None:
         self._check_endpoints(a, b)
@@ -92,6 +97,7 @@ class NetworkTopology:
         if edge in self.pqc_links:
             raise TopologyError(f"duplicate pqc link {a}-{b}")
         self.pqc_links.add(edge)
+        _connect(self.pqc_adjacency, a, b)
 
     def _check_endpoints(self, a: str, b: str) -> None:
         if a == b:
@@ -105,22 +111,15 @@ class NetworkTopology:
             raise UnknownNodeError(f"unknown node {name!r}")
 
     def qkd_neighbors(self, node: str) -> list[str]:
-        out = []
-        for (a, b) in self.qkd_links:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
+        return list(self.qkd_adjacency.get(node, ()))
 
     def pqc_neighbors(self, node: str) -> list[str]:
-        out = []
-        for (a, b) in self.pqc_links:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
+        return list(self.pqc_adjacency.get(node, ()))
+
+
+def _connect(adjacency: dict[str, list[str]], a: str, b: str) -> None:
+    for node, neighbor in ((a, b), (b, a)):
+        bisect.insort(adjacency.setdefault(node, []), neighbor)
 
 
 def preshared_pairs_count(n: int) -> int:
@@ -164,30 +163,36 @@ def format_topology(topo: NetworkTopology) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _hops_from(adjacency: dict[str, list[str]], start: str) -> dict[str, int]:
+    """Breadth-first hop counts from start to every node it reaches."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adjacency.get(cur, ()):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return dist
+
+
 def shortest_qkd_path(topo: NetworkTopology, src: str, dst: str) -> list[str]:
     """Shortest path by hop count; ties broken by smallest node identifier.
 
-    Implemented as a BFS distance pass followed by a greedy walk that always
-    steps to the lexicographically smallest neighbor on a shortest path.
+    Implemented as a BFS distance pass from dst followed by a greedy walk
+    from src that always steps to the smallest neighbor on a shortest path.
     """
     topo.require_node(src)
     topo.require_node(dst)
     if src == dst:
         raise NoPathError("source and destination coincide")
-    dist = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        cur = queue.popleft()
-        for nxt in topo.qkd_neighbors(cur):
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
+    dist = _hops_from(topo.qkd_adjacency, dst)
     if src not in dist:
         raise NoPathError(f"no qkd path from {src} to {dst}")
     path = [src]
     cur = src
     while cur != dst:
-        cur = next(n for n in topo.qkd_neighbors(cur) if dist.get(n, -1) == dist[cur] - 1)
+        cur = next(n for n in topo.qkd_adjacency[cur] if dist.get(n, -1) == dist[cur] - 1)
         path.append(cur)
     return path
 
@@ -195,17 +200,7 @@ def shortest_qkd_path(topo: NetworkTopology, src: str, dst: str) -> list[str]:
 def pqc_route_exists(topo: NetworkTopology, src: str, dst: str) -> bool:
     topo.require_node(src)
     topo.require_node(dst)
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        if cur == dst:
-            return True
-        for nxt in topo.pqc_neighbors(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return dst in _hops_from(topo.pqc_adjacency, src)
 
 
 class HybridPolicy(enum.Enum):

@@ -82,7 +82,7 @@ class ProtocolConfig:
 
     n_pulses: int
     strategy: BasisStrategy
-    decoy_probability: float = 0.0
+    decoy_probability: float = 0.1
 
     def __post_init__(self):
         if self.n_pulses < 1:

@@ -211,7 +211,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         protocol = ProtocolConfig(
             n_pulses=proto_raw["n_pulses"],
             strategy=_strategy_from_dict(proto_raw.get("strategy", {"mode": "symmetric"})),
-            decoy_probability=proto_raw.get("decoy_probability", 0.1),
+            decoy_probability=proto_raw.get("decoy_probability", ProtocolConfig.decoy_probability),
         )
         channel = ChannelParams(**raw.get("channel", {}))
         eve_raw = raw.get("eve", {})
@@ -297,7 +297,6 @@ class PublicMessage:
     payload: bytes
     disclosed: dict[str, int] = field(default_factory=dict)
     auth_mode: Optional[str] = None
-    auth_ok: bool = True
 
 
 @dataclass
@@ -419,7 +418,7 @@ def _setup_auth(scenario: Scenario) -> tuple[dict[str, AuthKeyPool], dict[str, O
         pools["bob"].refill(shared.copy())
         return pools, {"alice": None, "bob": None}
 
-    contexts: dict[str, OtsContext | None] = {}
+    contexts = {}
     for party in ("alice", "bob"):
         rng = np.random.default_rng(derive_seed(scenario.master_seed, "ots", party))
         contexts[party] = OtsContext.generate(
@@ -430,13 +429,10 @@ def _setup_auth(scenario: Scenario) -> tuple[dict[str, AuthKeyPool], dict[str, O
             scheme=scenario.auth.ots_scheme,
         )
     # Public halves cross over through the export/import wire format.
-    assert contexts["alice"] is not None and contexts["bob"] is not None
-    contexts["alice"].peer_publics = [
-        import_ots_public(export_ots_public(kp))[0] for kp in contexts["bob"].keypairs
-    ]
-    contexts["bob"].peer_publics = [
-        import_ots_public(export_ots_public(kp))[0] for kp in contexts["alice"].keypairs
-    ]
+    for party, peer in (("alice", "bob"), ("bob", "alice")):
+        contexts[party].peer_publics = [
+            import_ots_public(export_ots_public(kp))[0] for kp in contexts[peer].keypairs
+        ]
     return pools, contexts
 
 

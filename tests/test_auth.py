@@ -14,6 +14,7 @@ from qkdkit.auth import (
     REJECT_POOL_DESYNC,
     REJECT_TAG_MISMATCH,
     _GF_MODULI,
+    _blocks,
     bootstrap_round_auth,
     export_ots_public,
     gf_mul,
@@ -60,6 +61,18 @@ def test_poly_compress_separates_equal_length_single_blocks():
     # single-block messages of equal length differ deterministically
     for alpha in range(16):
         assert poly_compress(b"\xa0", alpha, 8) != poly_compress(b"\xa1", alpha, 8)
+
+
+def test_blocks_match_a_bit_string_oracle():
+    rng = np.random.default_rng(57)
+    for _ in range(500):
+        data = rng.bytes(int(rng.integers(0, 20)))
+        n_bits = int(rng.integers(0, 8 * len(data) + 1))
+        width = int(rng.integers(1, 65))
+        bits = "".join(f"{byte:08b}" for byte in data)[:n_bits]
+        bits += "0" * (-len(bits) % width)
+        expected = [int(bits[i : i + width], 2) for i in range(0, len(bits), width)]
+        assert list(_blocks(data, n_bits, width)) == expected, (data, n_bits, width)
 
 
 # poly_compress of default_rng(9).bytes(n) for n = 0, 1, 9, 1001, keyed by
@@ -154,8 +167,9 @@ def test_forgery_acceptance_bound_exhaustive():
 
 def test_ots_keypair_shape():
     kp = ots_keygen(np.random.default_rng(43), security_bits=64, digest_bits=48)
-    assert len(kp.public) == 48 and len(kp.secret) == 48
-    assert all(len(img0) == 8 and len(img1) == 8 for img0, img1 in kp.public)
+    # Lamport: two chains per digest bit
+    assert len(kp.public) == 96 and len(kp.secret) == 96
+    assert all(len(end) == 8 for end in kp.public)
 
 
 def test_ots_sign_verify_roundtrip():

@@ -24,6 +24,7 @@ from qkdkit.network import (
     format_topology,
     hybrid_establish,
     parse_topology,
+    pqc_route_exists,
     preshared_pairs_count,
     shortest_qkd_path,
 )
@@ -128,6 +129,25 @@ def test_shortest_path_prefers_smallest_identifier():
     topo.add_qkd_link("A", "N", 1024)
     topo.add_qkd_link("N", "B", 1024)
     assert shortest_qkd_path(topo, "A", "B") == ["A", "M", "B"]
+
+
+def test_neighbors_are_sorted_whatever_the_link_order():
+    topo = NetworkTopology()
+    for name in ("A", "M", "N", "B", "C"):
+        topo.add_node(name, NodeRole.TRUSTED_RELAY)
+    # links added in reverse identifier order
+    topo.add_qkd_link("N", "B", 1024)
+    topo.add_qkd_link("A", "N", 1024)
+    topo.add_qkd_link("M", "B", 1024)
+    topo.add_qkd_link("A", "M", 1024)
+    topo.add_pqc_link("C", "B")
+    topo.add_pqc_link("B", "A")
+    assert topo.qkd_neighbors("A") == ["M", "N"] and topo.qkd_neighbors("B") == ["M", "N"]
+    assert topo.pqc_neighbors("B") == ["A", "C"] and topo.pqc_neighbors("M") == []
+    assert shortest_qkd_path(topo, "A", "B") == ["A", "M", "B"]
+    assert shortest_qkd_path(topo, "B", "A") == ["B", "M", "A"]
+    assert pqc_route_exists(topo, "A", "C") and pqc_route_exists(topo, "M", "M")
+    assert not pqc_route_exists(topo, "A", "M")
 
 
 def test_hybrid_xor_key_lengths_and_composition():

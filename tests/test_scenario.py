@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qkdkit.auth import AuthMode
+from qkdkit.protocol import ProtocolConfig, SymmetricRandom
 from qkdkit.scenario import (
     ConfigError,
     EXIT_ABORTED,
+    EXIT_DECODE_FAILURE,
     EXIT_OK,
     EXIT_POOL_EXHAUSTED,
     STATUS_ABORTED,
@@ -182,6 +184,35 @@ def test_saturating_noise_forces_decode_failure():
     cfg["postproc"] = {"threshold": 0.45}
     result = run_session(scenario_from_dict(cfg))
     assert result.status == STATUS_DECODE_FAILURE
+
+
+def test_verification_failure_discards_the_round(monkeypatch):
+    import qkdkit.scenario
+
+    real_correct_errors = qkdkit.scenario.correct_errors
+
+    def correct_errors_flipping_one_bit(reference, noisy, params, ledger=None):
+        corrected, leak = real_correct_errors(reference, noisy, params, ledger)
+        bits = corrected.bits.copy()
+        bits[0] ^= 1
+        return corrected.with_bits(bits), leak
+
+    monkeypatch.setattr(qkdkit.scenario, "correct_errors", correct_errors_flipping_one_bit)
+    result = run_session(scenario_from_dict(base_config()))
+    assert result.status == STATUS_DECODE_FAILURE and result.reason == "verification-failed"
+    assert result.exit_code == EXIT_DECODE_FAILURE == 3
+    (row,) = result.rounds
+    assert row.verified is False and row.keys_equal is False
+    assert row.final_length == row.reserve_bits == row.application_bits == 0
+    assert not result.final_keys and not result.application_keys
+
+
+def test_missing_decoy_probability_takes_the_protocol_default():
+    cfg = base_config()
+    del cfg["protocol"]["decoy_probability"]
+    default = ProtocolConfig(n_pulses=1, strategy=SymmetricRandom()).decoy_probability
+    assert default == 0.1
+    assert scenario_from_dict(cfg).protocol.decoy_probability == default
 
 
 def test_application_keys_feed_the_one_time_pad():
