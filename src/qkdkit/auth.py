@@ -239,10 +239,13 @@ def _chain(value: bytes, steps: int, security_bits: int) -> bytes:
     return value
 
 
-def _chain_shape(scheme: str, digest_bits: int, window: int) -> tuple[int, int]:
-    """(number of chains, hash steps from a chain's start to its end)."""
+def _chain_shape(scheme: str, digest_bits: int, window: int) -> tuple[int, int, int]:
+    """(number of chains, hash steps from a chain's start to its end, window);
+    Lamport has no window and reports 0."""
+    if not 1 <= digest_bits <= 256:
+        raise ValueError("digest_bits must lie in [1, 256]")
     if scheme == SCHEME_LAMPORT:
-        return 2 * digest_bits, 1
+        return 2 * digest_bits, 1, 0
     if scheme != SCHEME_WINTERNITZ:
         raise ValueError(f"unknown signature scheme {scheme!r}")
     if not 1 <= window <= 8:
@@ -251,43 +254,54 @@ def _chain_shape(scheme: str, digest_bits: int, window: int) -> tuple[int, int]:
     n_chunks = -(-digest_bits // window)
     # enough window-bit checksum chunks to hold the largest sum, n_chunks * top
     n_checksum = max(1, -(-(n_chunks * top).bit_length() // window))
-    return n_chunks + n_checksum, top
+    return n_chunks + n_checksum, top, window
 
 
-def _revealed_points(
-    message: bytes, scheme: str, digest_bits: int, window: int
-) -> list[tuple[int, int]]:
-    """(chain, steps from its start) of each value a signature reveals."""
-    n_chains, top = _chain_shape(scheme, digest_bits, window)
-    digest = hashlib.sha256(message).digest()
-    if scheme == SCHEME_LAMPORT:
-        return [(2 * i + bit, 0) for i, bit in enumerate(_blocks(digest, digest_bits, 1))]
-    chunks = list(_blocks(digest, digest_bits, window))
-    checksum = sum(top - c for c in chunks)
-    chunks += [(checksum >> (window * i)) & top for i in reversed(range(n_chains - len(chunks)))]
-    return list(enumerate(chunks))
+@dataclass(frozen=True)
+class OtsPublicKey:
+    """Chain ends in chain order, with the parameters that fix each chain's
+    length and which point a message reveals. A verifier takes these from
+    the key, never from the signature it checks."""
 
-
-@dataclass
-class OtsKeypair:
-    """One one-time keypair, usable exactly once: chain starts (`secret`)
-    and chain ends (`public`) in chain order."""
-
-    secret: list[bytes]
-    public: list[bytes]
+    ends: tuple[bytes, ...]
     security_bits: int
     digest_bits: int
     scheme: str = SCHEME_LAMPORT
     window: int = 0
+
+    def __post_init__(self) -> None:
+        if not 8 <= self.security_bits <= 256 or self.security_bits % 8:
+            raise ValueError("security_bits must be a multiple of 8 in [8, 256]")
+        n_chains, _, window = _chain_shape(self.scheme, self.digest_bits, self.window)
+        n_bytes = self.security_bits // 8
+        if window != self.window or len(self.ends) != n_chains or any(len(e) != n_bytes for e in self.ends):
+            raise ValueError("chain ends do not match the key's parameters")
+
+    def revealed_points(self, message: bytes) -> list[tuple[int, int]]:
+        """(chain, steps from its start) of each value a signature reveals."""
+        n_chains, top, window = _chain_shape(self.scheme, self.digest_bits, self.window)
+        digest = hashlib.sha256(message).digest()
+        if self.scheme == SCHEME_LAMPORT:
+            return [(2 * i + bit, 0) for i, bit in enumerate(_blocks(digest, self.digest_bits, 1))]
+        chunks = list(_blocks(digest, self.digest_bits, window))
+        checksum = sum(top - c for c in chunks)
+        chunks += [(checksum >> (window * i)) & top for i in reversed(range(n_chains - len(chunks)))]
+        return list(enumerate(chunks))
+
+
+@dataclass
+class OtsKeypair:
+    """One one-time keypair, usable exactly once: chain starts (`secret`) in
+    chain order and the public key."""
+
+    secret: list[bytes]
+    public: OtsPublicKey
     used: bool = False
 
 
 @dataclass(frozen=True)
 class OtsSignature:
     revealed: list[bytes]
-    digest_bits: int
-    scheme: str = SCHEME_LAMPORT
-    window: int = 0
 
 
 def ots_keygen(
@@ -298,14 +312,10 @@ def ots_keygen(
     window: int = 4,
 ) -> OtsKeypair:
     """Generate a one-time keypair; the public half is exportable."""
-    if security_bits < 8 or security_bits > 256 or security_bits % 8:
-        raise ValueError("security_bits must be a multiple of 8 in [8, 256]")
-    if digest_bits < 1 or digest_bits > 256:
-        raise ValueError("digest_bits must lie in [1, 256]")
-    n_chains, length = _chain_shape(scheme, digest_bits, window)
+    n_chains, length, window = _chain_shape(scheme, digest_bits, window)
     secret = [rng.bytes(security_bits // 8) for _ in range(n_chains)]
-    public = [_chain(start, length, security_bits) for start in secret]
-    return OtsKeypair(secret, public, security_bits, digest_bits, scheme, window)
+    ends = tuple(_chain(start, length, security_bits) for start in secret)
+    return OtsKeypair(secret, OtsPublicKey(ends, security_bits, digest_bits, scheme, window))
 
 
 def ots_sign(message: bytes, keypair: OtsKeypair) -> OtsSignature:
@@ -313,23 +323,20 @@ def ots_sign(message: bytes, keypair: OtsKeypair) -> OtsSignature:
     if keypair.used:
         raise KeyReuseError("one-time signing key has already signed a message")
     keypair.used = True
-    points = _revealed_points(message, keypair.scheme, keypair.digest_bits, keypair.window)
-    revealed = [_chain(keypair.secret[c], steps, keypair.security_bits) for c, steps in points]
-    return OtsSignature(revealed, keypair.digest_bits, keypair.scheme, keypair.window)
+    public = keypair.public
+    points = public.revealed_points(message)
+    return OtsSignature([_chain(keypair.secret[c], steps, public.security_bits) for c, steps in points])
 
 
-def ots_verify(message: bytes, sig: OtsSignature, public: list[bytes]) -> bool:
+def ots_verify(message: bytes, sig: OtsSignature, public: OtsPublicKey) -> bool:
     """Hash each revealed value forward and compare it with its chain's end."""
-    try:
-        n_chains, length = _chain_shape(sig.scheme, sig.digest_bits, sig.window)
-        points = _revealed_points(message, sig.scheme, sig.digest_bits, sig.window)
-    except ValueError:
+    _, length, _ = _chain_shape(public.scheme, public.digest_bits, public.window)
+    points = public.revealed_points(message)
+    if len(sig.revealed) != len(points):
         return False
-    if not public or len(public) != n_chains or len(sig.revealed) != len(points):
-        return False
-    security_bits = 8 * len(public[0])
     return all(
-        len(value) == len(public[c]) and _chain(value, length - steps, security_bits) == public[c]
+        len(value) == len(public.ends[c])
+        and _chain(value, length - steps, public.security_bits) == public.ends[c]
         for value, (c, steps) in zip(sig.revealed, points)
     )
 
@@ -343,15 +350,16 @@ def export_ots_public(keypair: OtsKeypair) -> bytes:
     Lamport: `OTP1`, lambda and L as uint32 BE. Winternitz: `OTW1`, lambda,
     L and window as uint32 BE. Then the chain ends in chain order.
     """
-    header = [keypair.security_bits, keypair.digest_bits]
-    if keypair.scheme == SCHEME_WINTERNITZ:
-        header.append(keypair.window)
+    public = keypair.public
+    header = [public.security_bits, public.digest_bits]
+    if public.scheme == SCHEME_WINTERNITZ:
+        header.append(public.window)
     fields = b"".join(value.to_bytes(4, "big") for value in header)
-    return _OTS_MAGIC[keypair.scheme] + fields + b"".join(keypair.public)
+    return _OTS_MAGIC[public.scheme] + fields + b"".join(public.ends)
 
 
-def import_ots_public(blob: bytes) -> tuple[list[bytes], int, int]:
-    """Parse an exported public key; returns (chain ends, security_bits, digest_bits)."""
+def import_ots_public(blob: bytes) -> OtsPublicKey:
+    """Parse an exported public key, its parameters included."""
     scheme = next((s for s, magic in _OTS_MAGIC.items() if blob[:4] == magic), None)
     header_len = 16 if scheme == SCHEME_WINTERNITZ else 12
     if scheme is None or len(blob) < header_len:
@@ -361,13 +369,13 @@ def import_ots_public(blob: bytes) -> tuple[list[bytes], int, int]:
     window = int.from_bytes(blob[12:header_len], "big")  # 0 for Lamport, which has no window
     if not security_bits or security_bits % 8:
         raise ValueError("malformed public key blob header")
-    n_chains, _ = _chain_shape(scheme, digest_bits, window)
+    n_chains, _, _ = _chain_shape(scheme, digest_bits, window)
     n_bytes = security_bits // 8
     expected = header_len + n_chains * n_bytes
     if len(blob) != expected:
         raise ValueError(f"malformed public key blob: expected {expected} bytes, got {len(blob)}")
-    ends = [blob[off : off + n_bytes] for off in range(header_len, expected, n_bytes)]
-    return ends, security_bits, digest_bits
+    ends = tuple(blob[off : off + n_bytes] for off in range(header_len, expected, n_bytes))
+    return OtsPublicKey(ends, security_bits, digest_bits, scheme, window)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +420,7 @@ class OtsContext:
     """Ordered batch of one-time keypairs plus the peer's public halves."""
 
     keypairs: list[OtsKeypair] = field(default_factory=list)
-    peer_publics: list[list[bytes]] = field(default_factory=list)
+    peer_publics: list[OtsPublicKey] = field(default_factory=list)
     next_index: int = 0
 
     def remaining(self) -> int:

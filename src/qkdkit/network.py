@@ -16,6 +16,7 @@ import enum
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -66,15 +67,16 @@ class NetworkTopology:
     """Simple graph of end users and trusted relays.
 
     qkd_links map edges to their per-scenario key budget in bits;
-    pqc_links are classical edges with post-quantum capability. Each link
-    kind also keeps every node's neighbors in sorted order.
+    pqc_links are classical edges with post-quantum capability. Links are
+    added only through add_qkd_link/add_pqc_link, which also keep every
+    node's neighbors of each link kind in sorted order.
     """
 
     nodes: dict[str, NodeRole] = field(default_factory=dict)
-    qkd_links: dict[tuple[str, str], int] = field(default_factory=dict)
-    pqc_links: set[tuple[str, str]] = field(default_factory=set)
-    qkd_adjacency: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
-    pqc_adjacency: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
+    qkd_links: dict[tuple[str, str], int] = field(default_factory=dict, init=False)
+    pqc_links: set[tuple[str, str]] = field(default_factory=set, init=False)
+    _qkd_adjacency: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
+    _pqc_adjacency: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
 
     def add_node(self, name: str, role: NodeRole) -> None:
         if name in self.nodes:
@@ -89,7 +91,7 @@ class NetworkTopology:
         if budget < 0:
             raise TopologyError("link budget must be non-negative")
         self.qkd_links[edge] = budget
-        _connect(self.qkd_adjacency, a, b)
+        _connect(self._qkd_adjacency, a, b)
 
     def add_pqc_link(self, a: str, b: str) -> None:
         self._check_endpoints(a, b)
@@ -97,7 +99,7 @@ class NetworkTopology:
         if edge in self.pqc_links:
             raise TopologyError(f"duplicate pqc link {a}-{b}")
         self.pqc_links.add(edge)
-        _connect(self.pqc_adjacency, a, b)
+        _connect(self._pqc_adjacency, a, b)
 
     def _check_endpoints(self, a: str, b: str) -> None:
         if a == b:
@@ -111,10 +113,12 @@ class NetworkTopology:
             raise UnknownNodeError(f"unknown node {name!r}")
 
     def qkd_neighbors(self, node: str) -> list[str]:
-        return list(self.qkd_adjacency.get(node, ()))
+        """The stored sorted neighbor list; callers must not modify it."""
+        return self._qkd_adjacency.get(node, [])
 
     def pqc_neighbors(self, node: str) -> list[str]:
-        return list(self.pqc_adjacency.get(node, ()))
+        """The stored sorted neighbor list; callers must not modify it."""
+        return self._pqc_adjacency.get(node, [])
 
 
 def _connect(adjacency: dict[str, list[str]], a: str, b: str) -> None:
@@ -163,13 +167,13 @@ def format_topology(topo: NetworkTopology) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _hops_from(adjacency: dict[str, list[str]], start: str) -> dict[str, int]:
+def _hops_from(neighbors: Callable[[str], list[str]], start: str) -> dict[str, int]:
     """Breadth-first hop counts from start to every node it reaches."""
     dist = {start: 0}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in adjacency.get(cur, ()):
+        for nxt in neighbors(cur):
             if nxt not in dist:
                 dist[nxt] = dist[cur] + 1
                 queue.append(nxt)
@@ -186,13 +190,13 @@ def shortest_qkd_path(topo: NetworkTopology, src: str, dst: str) -> list[str]:
     topo.require_node(dst)
     if src == dst:
         raise NoPathError("source and destination coincide")
-    dist = _hops_from(topo.qkd_adjacency, dst)
+    dist = _hops_from(topo.qkd_neighbors, dst)
     if src not in dist:
         raise NoPathError(f"no qkd path from {src} to {dst}")
     path = [src]
     cur = src
     while cur != dst:
-        cur = next(n for n in topo.qkd_adjacency[cur] if dist.get(n, -1) == dist[cur] - 1)
+        cur = next(n for n in topo.qkd_neighbors(cur) if dist.get(n, -1) == dist[cur] - 1)
         path.append(cur)
     return path
 
@@ -200,7 +204,7 @@ def shortest_qkd_path(topo: NetworkTopology, src: str, dst: str) -> list[str]:
 def pqc_route_exists(topo: NetworkTopology, src: str, dst: str) -> bool:
     topo.require_node(src)
     topo.require_node(dst)
-    return dst in _hops_from(topo.pqc_adjacency, src)
+    return dst in _hops_from(topo.pqc_neighbors, src)
 
 
 class HybridPolicy(enum.Enum):

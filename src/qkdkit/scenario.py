@@ -431,7 +431,7 @@ def _setup_auth(scenario: Scenario) -> tuple[dict[str, AuthKeyPool], dict[str, O
     # Public halves cross over through the export/import wire format.
     for party, peer in (("alice", "bob"), ("bob", "alice")):
         contexts[party].peer_publics = [
-            import_ots_public(export_ots_public(kp))[0] for kp in contexts[peer].keypairs
+            import_ots_public(export_ots_public(kp)) for kp in contexts[peer].keypairs
         ]
     return pools, contexts
 

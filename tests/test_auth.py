@@ -10,11 +10,14 @@ from qkdkit.auth import (
     InsufficientKeyError,
     KeyReuseError,
     OtsContext,
+    OtsPublicKey,
+    OtsSignature,
     PoolExhaustedError,
     REJECT_POOL_DESYNC,
     REJECT_TAG_MISMATCH,
     _GF_MODULI,
     _blocks,
+    _chain,
     bootstrap_round_auth,
     export_ots_public,
     gf_mul,
@@ -168,8 +171,8 @@ def test_forgery_acceptance_bound_exhaustive():
 def test_ots_keypair_shape():
     kp = ots_keygen(np.random.default_rng(43), security_bits=64, digest_bits=48)
     # Lamport: two chains per digest bit
-    assert len(kp.public) == 96 and len(kp.secret) == 96
-    assert all(len(end) == 8 for end in kp.public)
+    assert len(kp.public.ends) == 96 and len(kp.secret) == 96
+    assert all(len(end) == 8 for end in kp.public.ends)
 
 
 def test_ots_sign_verify_roundtrip():
@@ -202,13 +205,9 @@ def test_ots_key_reuse_is_a_hard_error():
 def test_ots_truncated_signature_rejected():
     kp = ots_keygen(np.random.default_rng(47), security_bits=32, digest_bits=32)
     sig = ots_sign(b"msg", kp)
-    from qkdkit.auth import OtsSignature
-
-    truncated = OtsSignature(revealed=sig.revealed[:-1], digest_bits=sig.digest_bits)
+    truncated = OtsSignature(revealed=sig.revealed[:-1])
     assert not ots_verify(b"msg", truncated, kp.public)
-    shortened = OtsSignature(
-        revealed=[r[:-1] for r in sig.revealed], digest_bits=sig.digest_bits
-    )
+    shortened = OtsSignature(revealed=[r[:-1] for r in sig.revealed])
     assert not ots_verify(b"msg", shortened, kp.public)
 
 
@@ -217,8 +216,8 @@ def test_ots_public_key_wire_format_roundtrip():
     blob = export_ots_public(kp)
     assert blob[:4] == b"OTP1"
     assert len(blob) == 12 + 2 * 96 * 16
-    images, security_bits, digest_bits = import_ots_public(blob)
-    assert images == kp.public and security_bits == 128 and digest_bits == 96
+    public = import_ots_public(blob)
+    assert public == kp.public and public.security_bits == 128 and public.digest_bits == 96
     assert export_ots_public(kp) == blob  # bit-exact
     with pytest.raises(ValueError):
         import_ots_public(blob[:-1])
@@ -230,7 +229,7 @@ def test_winternitz_roundtrip_and_reuse():
     rng = np.random.default_rng(52)
     kp = ots_keygen(rng, security_bits=64, digest_bits=64, scheme="winternitz", window=4)
     # 16 digest chunks + 2 checksum chunks at window 4 (max checksum 240 < 2^8)
-    assert len(kp.public) == 18
+    assert len(kp.public.ends) == 18
     sig = ots_sign(b"chained announcement", kp)
     assert ots_verify(b"chained announcement", sig, kp.public)
     assert not ots_verify(b"chained announcemenu", sig, kp.public)
@@ -257,10 +256,51 @@ def test_winternitz_wire_format_roundtrip():
     kp = ots_keygen(rng, security_bits=64, digest_bits=48, scheme="winternitz", window=4)
     blob = export_ots_public(kp)
     assert blob[:4] == b"OTW1"
-    images, security_bits, digest_bits = import_ots_public(blob)
-    assert images == kp.public and security_bits == 64 and digest_bits == 48
+    public = import_ots_public(blob)
+    assert public == kp.public and public.security_bits == 64 and public.digest_bits == 48
     with pytest.raises(ValueError):
         import_ots_public(blob[:-1])
+
+
+def test_signature_cannot_pick_the_chain_shape():
+    # A Winternitz key at window 4 over a 64-bit digest has 18 chains, as many
+    # as a Lamport key over a 9-bit digest. Hashing each revealed Winternitz
+    # value forward to one step before its chain's end gives a valid Lamport
+    # signature for any message whose 9 selected chains all had chunk < 15.
+    rng = np.random.default_rng(56)
+    kp = ots_keygen(rng, security_bits=64, digest_bits=64, scheme="winternitz", window=4)
+    sig = ots_sign(b"signed once", kp)
+    chunks = [steps for _, steps in kp.public.revealed_points(b"signed once")]
+    as_lamport = OtsPublicKey(kp.public.ends, security_bits=64, digest_bits=9)
+    forged = 0
+    for n in range(40):
+        message = b"forged %d" % n
+        points = as_lamport.revealed_points(message)
+        if any(chunks[c] == 15 for c, _ in points):
+            continue
+        revealed = [_chain(sig.revealed[c], 14 - chunks[c], 64) for c, _ in points]
+        forgery = OtsSignature(revealed)
+        # the forgery is genuine under the Lamport shape ...
+        assert ots_verify(message, forgery, as_lamport)
+        # ... and rejected under the key's own parameters, as sent on the wire
+        assert not ots_verify(message, forgery, kp.public)
+        assert not ots_verify(message, forgery, import_ots_public(export_ots_public(kp)))
+        forged += 1
+    assert forged >= 10
+
+
+def test_public_key_must_match_its_parameters():
+    kp = ots_keygen(np.random.default_rng(57), security_bits=64, digest_bits=48, scheme="winternitz", window=4)
+    ends = kp.public.ends
+    with pytest.raises(ValueError):
+        OtsPublicKey(ends[:-1], 64, 48, "winternitz", 4)
+    with pytest.raises(ValueError):
+        OtsPublicKey(ends, 64, 48, "lamport", 4)
+    with pytest.raises(ValueError):
+        OtsPublicKey(tuple(end[:-1] for end in ends), 64, 48, "winternitz", 4)
+    with pytest.raises(ValueError):
+        OtsPublicKey((), 64, 0)
+    assert ots_keygen(np.random.default_rng(57), 64, 48, "lamport", 4).public.window == 0
 
 
 # SHA-256 of the exported public key and of the joined revealed values of
@@ -302,7 +342,7 @@ def test_ots_golden(scheme, window):
     want_public, want_signature = OTS_GOLDEN[scheme, window]
     assert hashlib.sha256(blob).hexdigest() == want_public
     assert hashlib.sha256(b"".join(sig.revealed)).hexdigest() == want_signature
-    assert ots_verify(b"golden", sig, import_ots_public(blob)[0])
+    assert ots_verify(b"golden", sig, import_ots_public(blob))
 
 
 def test_winternitz_sessions_bootstrap_like_lamport():

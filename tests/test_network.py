@@ -267,3 +267,10 @@ def test_link_pools_authenticate_hops():
     for edge in [("A", "R1"), ("R1", "R2"), ("B", "R2")]:
         sender_pool, receiver_pool = pools[edge]
         assert sender_pool.consumption_log and receiver_pool.consumption_log
+
+
+def test_links_enter_only_through_add_link():
+    with pytest.raises(TypeError):
+        NetworkTopology(qkd_links={("A", "B"): 1})
+    with pytest.raises(TypeError):
+        NetworkTopology(pqc_links={("A", "B")})
