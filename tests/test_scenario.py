@@ -1,13 +1,17 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
 
 from qkdkit.auth import AuthMode
+from qkdkit.cli import main
 from qkdkit.protocol import ProtocolConfig, SymmetricRandom
 from qkdkit.scenario import (
     ConfigError,
     EXIT_ABORTED,
+    EXIT_CONFIG_ERROR,
     EXIT_DECODE_FAILURE,
     EXIT_OK,
     EXIT_POOL_EXHAUSTED,
@@ -122,6 +126,113 @@ def test_round_trip_through_canonical_dict(overrides, expected_sections):
     again = scenario_from_dict(canonical)
     assert again == scenario
     assert scenario_to_dict(again) == canonical
+
+
+DELETE = object()
+ASYMMETRIC = {"mode": "asymmetric", "p_z": 0.5}
+PRESHARED = {"mode": "preshared", "shared_seed_hex": "00ff"}
+
+
+def rejected(path, value, strategy=None):
+    """A config that writes `value` at `path` (DELETE removes the field) and
+    must be rejected naming that path; `strategy` replaces the base strategy."""
+    written = "<missing>" if value is DELETE else repr(value)
+    in_mode = "" if strategy is None else f"[{strategy['mode']}]"
+    return pytest.param(path, value, strategy, id=f"{path}{in_mode}={written}")
+
+
+REJECTED_CONFIGS = [
+    # unknown keys, at every level
+    *(rejected(f"{section}extra", 1) for section in (
+        "", "protocol/", "protocol/strategy/", "channel/", "eve/", "postproc/", "auth/",
+        "network/", "network/requests/0/",
+    )),
+    rejected("protocol/strategy/extra", 1, ASYMMETRIC),
+    rejected("protocol/strategy/extra", 1, PRESHARED),
+    # required fields
+    *(rejected(path, DELETE) for path in (
+        "master_seed", "rounds", "protocol", "channel", "protocol/n_pulses", "protocol/strategy/mode",
+        "network/topology_file", "network/requests", "network/requests/0/src",
+        "network/requests/0/dst", "network/requests/0/policy", "network/requests/0/key_len",
+    )),
+    # wrong types: strings, bools for ints, bools for floats, non-objects
+    *(rejected(path, "1") for path in (
+        "master_seed", "rounds", "protocol/n_pulses", "protocol/decoy_probability",
+        "channel/transmittance", "channel/misalignment_error", "channel/decoy_detect_scale",
+        "eve/fraction", "postproc/threshold", "postproc/verify_tag_bits",
+        "postproc/security_margin", "postproc/ldpc_block_len", "auth/reserve_bits",
+        "auth/preshared_pool_bits", "auth/ots_keypairs", "auth/ots_security_bits",
+        "auth/ots_digest_bits", "auth/mac_tag_bits", "auth/mac_word_bits",
+        "network/requests/0/key_len",
+    )),
+    rejected("protocol/strategy/p_z", "0.5", ASYMMETRIC),
+    *(rejected(path, 1) for path in (
+        "name", "protocol/strategy/mode", "eve/kind", "postproc/code_rate", "auth/mode",
+        "auth/ots_scheme", "network/topology_file", "network/requests/0/src",
+        "network/requests/0/dst", "network/requests/0/policy",
+    )),
+    rejected("protocol/strategy/shared_seed_hex", 255, PRESHARED),
+    *(rejected(path, True) for path in (
+        "master_seed", "rounds", "protocol/n_pulses", "postproc/verify_tag_bits",
+        "postproc/security_margin", "postproc/ldpc_block_len", "auth/reserve_bits",
+        "auth/preshared_pool_bits", "auth/ots_keypairs", "auth/ots_security_bits",
+        "auth/ots_digest_bits", "auth/mac_tag_bits", "auth/mac_word_bits",
+        "network/requests/0/key_len", "protocol/decoy_probability", "channel/transmittance",
+        "channel/misalignment_error", "channel/decoy_detect_scale", "eve/fraction",
+        "postproc/threshold",
+    )),
+    rejected("protocol/strategy/p_z", True, ASYMMETRIC),
+    *(rejected(path, value) for path, value in (
+        ("protocol", "symmetric"), ("protocol/strategy", "symmetric"), ("channel", []),
+        ("eve", None), ("postproc", 0), ("auth", "ots_bootstrap"), ("network", []),
+        ("network/requests", {}), ("network/requests/0", "alice->bob"),
+    )),
+    # out of range, or outside a closed set
+    *(rejected(path, value) for path, value in (
+        ("master_seed", -1), ("rounds", 0), ("protocol/n_pulses", 0),
+        ("protocol/decoy_probability", -0.1), ("protocol/decoy_probability", 1.0),
+        ("protocol/strategy/mode", "random"),
+        ("channel/transmittance", -0.1), ("channel/transmittance", 1.5),
+        ("channel/misalignment_error", 1.01), ("channel/decoy_detect_scale", -1),
+        ("eve/kind", "active"), ("eve/fraction", 1.5),
+        ("postproc/threshold", 0), ("postproc/threshold", 0.5),
+        ("postproc/verify_tag_bits", 0), ("postproc/security_margin", -1),
+        ("postproc/ldpc_block_len", 512), ("postproc/code_rate", "r060"),
+        ("auth/mode", "none"), ("auth/reserve_bits", -1), ("auth/preshared_pool_bits", -1),
+        ("auth/ots_keypairs", 0), ("auth/ots_security_bits", 4), ("auth/ots_security_bits", 264),
+        ("auth/ots_digest_bits", 0), ("auth/ots_digest_bits", 257), ("auth/ots_scheme", "xmss"),
+        ("auth/mac_tag_bits", 0), ("auth/mac_word_bits", 12),
+        ("network/requests/0/policy", "quantum"), ("network/requests/0/key_len", 0),
+    )),
+    rejected("protocol/strategy/p_z", 0, ASYMMETRIC),
+    rejected("protocol/strategy/p_z", 1, ASYMMETRIC),
+    *(rejected("protocol/strategy/shared_seed_hex", text, PRESHARED) for text in ("", "ab cd", "xyz0")),
+]
+
+
+@pytest.mark.parametrize("path, value, strategy", REJECTED_CONFIGS)
+def test_invalid_config_is_rejected_naming_the_field(tmp_path, capsys, path, value, strategy):
+    cfg = base_config(network=copy.deepcopy(NETWORK_SECTION))
+    if strategy is not None:
+        cfg["protocol"]["strategy"] = dict(strategy)
+    *parents, last = path.split("/")
+    node = cfg
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    last = int(last) if isinstance(node, list) else last
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    # the message names the field path: "config field", then its parts in order
+    names_path = "config field.*" + ".*".join(re.escape(part) for part in path.split("/"))
+    with pytest.raises(ConfigError, match=names_path):
+        scenario_from_dict(cfg)
+
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert re.match(f"error: {names_path}", capsys.readouterr().err)
 
 
 def test_clean_session_produces_equal_verified_keys():
