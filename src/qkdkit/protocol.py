@@ -81,7 +81,7 @@ class ProtocolConfig:
     """
 
     n_pulses: int
-    strategy: BasisStrategy
+    strategy: BasisStrategy = SymmetricRandom()
     decoy_probability: float = 0.1
 
     def __post_init__(self):

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, fields, replace
-from importlib import resources
+import re
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from .auth import (
@@ -34,6 +34,9 @@ from .auth import (
     InsufficientKeyError,
     OtsContext,
     PoolExhaustedError,
+    SCHEME_LAMPORT,
+    SCHEME_WINTERNITZ,
+    _GF_MODULI,
     bootstrap_round_auth,
     export_ots_public,
     grow_keys,
@@ -71,6 +74,7 @@ from .postproc import (
     estimate_eavesdropping,
     verify_keys,
 )
+from .postproc.reconcile import _BLOCK_SIZES, _RATE_RULES
 from .protocol import (
     AsymmetricRandom,
     BasisStrategy,
@@ -121,6 +125,12 @@ SWEEPABLE_PARAMETERS = ("p_z", "transmittance", "eve_fraction", "threshold")
 SWEEP_COLUMNS = ("parameter", "value", "n_sifted", "e_x", "decision", "final_length", "key_rate")
 
 
+def _check(obj, name: str, ok: bool, allowed: str) -> None:
+    """Reject the value of obj's field `name` unless `ok`."""
+    if not ok:
+        raise ValueError(f"{name} must be {allowed}, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class PostprocParams:
     threshold: float = 0.11
@@ -129,18 +139,41 @@ class PostprocParams:
     ldpc_block_len: int = 0
     code_rate: str = "auto"
 
+    def __post_init__(self):
+        _check(self, "threshold", 0.0 < self.threshold < 0.5, "in (0, 0.5)")
+        _check(self, "verify_tag_bits", self.verify_tag_bits >= 1, ">= 1")
+        _check(self, "security_margin", self.security_margin >= 0, ">= 0")
+        block_lens, rates = (0, *_BLOCK_SIZES), ("auto", *_RATE_RULES)
+        _check(self, "ldpc_block_len", self.ldpc_block_len in block_lens, f"one of {block_lens}")
+        _check(self, "code_rate", self.code_rate in rates, f"one of {rates}")
+
 
 @dataclass(frozen=True)
 class AuthParams:
-    mode: str = "ots_bootstrap"  # or "preshared_pool"
+    mode: str = "ots_bootstrap"
     reserve_bits: int = 2048
     preshared_pool_bits: int = 0
     ots_keypairs: int = 12
     ots_security_bits: int = 128
     ots_digest_bits: int = 128
-    ots_scheme: str = "lamport"
+    ots_scheme: str = SCHEME_LAMPORT
     mac_tag_bits: int = 64
     mac_word_bits: int = 64
+
+    def __post_init__(self):
+        modes, schemes = ("ots_bootstrap", "preshared_pool"), (SCHEME_LAMPORT, SCHEME_WINTERNITZ)
+        _check(self, "mode", self.mode in modes, f"one of {modes}")
+        _check(self, "reserve_bits", self.reserve_bits >= 0, ">= 0")
+        pool_min = int(self.mode == "preshared_pool")
+        pool_ok = self.preshared_pool_bits >= pool_min
+        _check(self, "preshared_pool_bits", pool_ok, f">= {pool_min} in {self.mode} mode")
+        _check(self, "ots_keypairs", self.ots_keypairs >= 1, ">= 1")
+        security_ok = 8 <= self.ots_security_bits <= 256 and self.ots_security_bits % 8 == 0
+        _check(self, "ots_security_bits", security_ok, "a multiple of 8 in [8, 256]")
+        _check(self, "ots_digest_bits", 1 <= self.ots_digest_bits <= 256, "in [1, 256]")
+        _check(self, "ots_scheme", self.ots_scheme in schemes, f"one of {schemes}")
+        _check(self, "mac_tag_bits", self.mac_tag_bits >= 1, ">= 1")
+        _check(self, "mac_word_bits", self.mac_word_bits in _GF_MODULI, f"one of {list(_GF_MODULI)}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +183,9 @@ class NetworkRequest:
     policy: HybridPolicy
     key_len: int
 
+    def __post_init__(self):
+        _check(self, "key_len", self.key_len >= 1, ">= 1")
+
 
 @dataclass(frozen=True)
 class NetworkSection:
@@ -157,94 +193,98 @@ class NetworkSection:
     requests: tuple[NetworkRequest, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """A fully determined run; see data/scenario.schema.json for the format."""
+    """A fully determined run. Its fields and those of its section dataclasses
+    are the config format, with their types, defaults and checks."""
 
-    name: str
+    name: str = "scenario"
     master_seed: int
     rounds: int
     protocol: ProtocolConfig
     channel: ChannelParams
-    eve: EveModel
-    postproc: PostprocParams
-    auth: AuthParams
+    eve: EveModel = field(default_factory=EveModel)
+    postproc: PostprocParams = field(default_factory=PostprocParams)
+    auth: AuthParams = field(default_factory=AuthParams)
     network: Optional[NetworkSection] = None
 
-
-def _load_schema() -> dict:
-    text = resources.files("qkdkit").joinpath("data", "scenario.schema.json").read_text()
-    return json.loads(text)
-
-
-def _strategy_from_dict(raw: dict) -> BasisStrategy:
-    mode = raw.get("mode", "symmetric")
-    if mode == "symmetric":
-        return SymmetricRandom()
-    if mode == "asymmetric":
-        if "p_z" not in raw:
-            raise ConfigError("asymmetric strategy requires p_z")
-        return AsymmetricRandom(p_z=raw["p_z"])
-    if "shared_seed_hex" not in raw:
-        raise ConfigError("preshared strategy requires shared_seed_hex")
-    return PresharedSequence(shared_seed=bytes.fromhex(raw["shared_seed_hex"]))
+    def __post_init__(self):
+        _check(self, "master_seed", self.master_seed >= 0, ">= 0")
+        _check(self, "rounds", self.rounds >= 1, ">= 1")
 
 
-def _strategy_to_dict(strategy: BasisStrategy) -> dict:
-    if isinstance(strategy, SymmetricRandom):
-        return {"mode": "symmetric"}
-    if isinstance(strategy, AsymmetricRandom):
-        return {"mode": "asymmetric", "p_z": strategy.p_z}
-    return {"mode": "preshared", "shared_seed_hex": strategy.shared_seed.hex()}
+# A config's strategy names its class by `mode`; the other keys are its fields.
+_STRATEGY_MODES = {
+    "symmetric": SymmetricRandom,
+    "asymmetric": AsymmetricRandom,
+    "preshared": PresharedSequence,
+}
+
+
+def _strategy_from_dict(raw, path: str) -> BasisStrategy:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config field {path}: expected an object, got {raw!r}")
+    modes = list(_STRATEGY_MODES)
+    if raw.get("mode") not in modes:
+        raise ConfigError(f"config field {path}/mode: must be one of {modes}, got {raw.get('mode')!r}")
+    rest = {key: value for key, value in raw.items() if key != "mode"}
+    return _from_plain(_STRATEGY_MODES[raw["mode"]], rest, path)
+
+
+def _from_plain(kind, value, path: str):
+    """The `kind` value that a config writes as `value`: the inverse of `_to_plain`.
+
+    Each value is checked against its annotation and never coerced, so an int
+    written in a float field stays an int. A dataclass needs every field that
+    has no default and takes no unknown one; a bytes field is written in hex
+    under its name plus "_hex". Errors name the field path, such as "auth/mode".
+    """
+    where = f"config field {path or '<root>'}"
+    if kind == BasisStrategy:
+        return _strategy_from_dict(value, path)
+    if typing.get_origin(kind) is typing.Union:  # Optional[X]; an absent section stays None
+        return _from_plain(typing.get_args(kind)[0], value, path)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        item = typing.get_args(kind)[0]
+        return tuple(_from_plain(item, v, f"{path}/{i}") for i, v in enumerate(value))
+    if isinstance(kind, type) and issubclass(kind, enum.Enum):
+        allowed = [member.value for member in kind]
+        if value not in allowed:
+            raise ConfigError(f"{where}: must be one of {allowed}, got {value!r}")
+        return kind(value)
+    if kind is bytes:
+        if not (isinstance(value, str) and re.fullmatch(r"(?:[0-9a-fA-F]{2})+", value)):
+            raise ConfigError(f"{where}: must be a non-empty, even number of hex digits, got {value!r}")
+        return bytes.fromhex(value)
+    if kind in (int, float, str):
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    hints = typing.get_type_hints(kind)
+    keys = {(f.name + "_hex" if hints[f.name] is bytes else f.name): f for f in fields(kind)}
+    prefix = f"{path}/" if path else ""
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ConfigError(f"config field {prefix}{unknown[0]}: unknown field")
+    args = {}
+    for key, f in keys.items():
+        if key in value:
+            args[f.name] = _from_plain(hints[f.name], value[key], prefix + key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config field {prefix}{key}: required field is missing")
+    try:
+        return kind(**args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Validate a parsed config against the published schema and build it."""
-    try:
-        jsonschema.validate(raw, _load_schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from exc
-
-    proto_raw = raw["protocol"]
-    try:
-        protocol = ProtocolConfig(
-            n_pulses=proto_raw["n_pulses"],
-            strategy=_strategy_from_dict(proto_raw.get("strategy", {"mode": "symmetric"})),
-            decoy_probability=proto_raw.get("decoy_probability", ProtocolConfig.decoy_probability),
-        )
-        channel = ChannelParams(**raw.get("channel", {}))
-        eve_raw = raw.get("eve", {})
-        eve = EveModel(
-            kind=EveKind(eve_raw.get("kind", "none")),
-            fraction=eve_raw.get("fraction", 0.0),
-        )
-        postproc = PostprocParams(**raw.get("postproc", {}))
-        auth = AuthParams(**raw.get("auth", {}))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    network = None
-    if "network" in raw:
-        requests = tuple(
-            NetworkRequest(
-                src=r["src"], dst=r["dst"], policy=HybridPolicy(r["policy"]), key_len=r["key_len"]
-            )
-            for r in raw["network"]["requests"]
-        )
-        network = NetworkSection(topology_file=raw["network"]["topology_file"], requests=requests)
-
-    return Scenario(
-        name=raw.get("name", "scenario"),
-        master_seed=raw["master_seed"],
-        rounds=raw["rounds"],
-        protocol=protocol,
-        channel=channel,
-        eve=eve,
-        postproc=postproc,
-        auth=auth,
-        network=network,
-    )
+    """Check a parsed config field by field against the dataclasses and build it."""
+    return _from_plain(Scenario, raw, "")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -263,15 +303,20 @@ def load_scenario(path: str | Path) -> Scenario:
 def _to_plain(value):
     if isinstance(value, enum.Enum):
         return value.value
+    if isinstance(value, bytes):
+        return value.hex()
     if isinstance(value, (int, float, str)):
         return value
     if isinstance(value, tuple):
         return [_to_plain(v) for v in value]
-    if isinstance(value, (SymmetricRandom, AsymmetricRandom, PresharedSequence)):
-        return _strategy_to_dict(value)
-    # a dataclass; an unset optional section (None) is left out, as in the config
-    values = {f.name: getattr(value, f.name) for f in fields(value)}
-    return {name: _to_plain(v) for name, v in values.items() if v is not None}
+    # a dataclass, written as `_from_plain` reads it: a basis strategy leads
+    # with its mode, and an unset optional section (None) is left out
+    plain = {"mode": mode for mode, kind in _STRATEGY_MODES.items() if type(value) is kind}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if v is not None:
+            plain[f.name + "_hex" if isinstance(v, bytes) else f.name] = _to_plain(v)
+    return plain
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -410,8 +455,6 @@ class _Messenger:
 def _setup_auth(scenario: Scenario) -> tuple[dict[str, AuthKeyPool], dict[str, OtsContext | None]]:
     pools = {"alice": AuthKeyPool(), "bob": AuthKeyPool()}
     if scenario.auth.mode == "preshared_pool":
-        if scenario.auth.preshared_pool_bits < 1:
-            raise ConfigError("preshared_pool mode requires preshared_pool_bits >= 1")
         rng = np.random.default_rng(derive_seed(scenario.master_seed, "preshared-pool"))
         shared = random_bits(scenario.auth.preshared_pool_bits, rng)
         pools["alice"].refill(shared)

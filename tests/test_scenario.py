@@ -133,12 +133,13 @@ ASYMMETRIC = {"mode": "asymmetric", "p_z": 0.5}
 PRESHARED = {"mode": "preshared", "shared_seed_hex": "00ff"}
 
 
-def rejected(path, value, strategy=None):
+def rejected(path, value, within=None):
     """A config that writes `value` at `path` (DELETE removes the field) and
-    must be rejected naming that path; `strategy` replaces the base strategy."""
+    must be rejected naming that path; `within`, if given, first replaces the
+    object that holds the field."""
     written = "<missing>" if value is DELETE else repr(value)
-    in_mode = "" if strategy is None else f"[{strategy['mode']}]"
-    return pytest.param(path, value, strategy, id=f"{path}{in_mode}={written}")
+    in_mode = "" if within is None else f"[{within['mode']}]"
+    return pytest.param(path, value, within, id=f"{path}{in_mode}={written}")
 
 
 REJECTED_CONFIGS = [
@@ -207,18 +208,35 @@ REJECTED_CONFIGS = [
     rejected("protocol/strategy/p_z", 0, ASYMMETRIC),
     rejected("protocol/strategy/p_z", 1, ASYMMETRIC),
     *(rejected("protocol/strategy/shared_seed_hex", text, PRESHARED) for text in ("", "ab cd", "xyz0")),
+    # accepted by the JSON schema that used to check configs, then failing at
+    # run time, or at load without naming the field
+    *(rejected(path, value) for path, value in (
+        ("master_seed", 7.0), ("rounds", 2.0), ("protocol/n_pulses", 4096.0),
+        ("postproc/verify_tag_bits", 64.0), ("postproc/security_margin", 32.0),
+        ("postproc/ldpc_block_len", 256.0), ("auth/reserve_bits", 2048.0),
+        ("auth/preshared_pool_bits", 0.0), ("auth/ots_keypairs", 12.0),
+        ("auth/ots_security_bits", 128.0), ("auth/ots_digest_bits", 128.0),
+        ("auth/mac_tag_bits", 64.0), ("auth/mac_word_bits", 64.0),
+        ("network/requests/0/key_len", 256.0), ("auth/ots_security_bits", 12),
+    )),
+    rejected("auth/preshared_pool_bits", 0, {"mode": "preshared_pool", "preshared_pool_bits": 4096}),
+    rejected("protocol/strategy/p_z", DELETE, ASYMMETRIC),
+    rejected("protocol/strategy/shared_seed_hex", DELETE, PRESHARED),
+    rejected("protocol/strategy/shared_seed_hex", "abc", PRESHARED),
+    rejected("protocol/strategy/p_z", 0.5),
 ]
 
 
-@pytest.mark.parametrize("path, value, strategy", REJECTED_CONFIGS)
-def test_invalid_config_is_rejected_naming_the_field(tmp_path, capsys, path, value, strategy):
+@pytest.mark.parametrize("path, value, within", REJECTED_CONFIGS)
+def test_invalid_config_is_rejected_naming_the_field(tmp_path, capsys, path, value, within):
     cfg = base_config(network=copy.deepcopy(NETWORK_SECTION))
-    if strategy is not None:
-        cfg["protocol"]["strategy"] = dict(strategy)
     *parents, last = path.split("/")
     node = cfg
     for key in parents:
         node = node[int(key) if isinstance(node, list) else key]
+    if within is not None:
+        node.clear()
+        node.update(within)
     last = int(last) if isinstance(node, list) else last
     if value is DELETE:
         del node[last]
