@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .bits import as_bits, bits_to_int, int_to_bits
-from .keys import KeyMaterial, KeyStage
+from .keys import KeyMaterial, KeyReuseError, KeyStage
 from .postproc.distill import ToeplitzSeed, toeplitz_apply
 
 # Verified-irreducible moduli for GF(2^w); value includes the x^w term.
@@ -223,10 +223,6 @@ def wc_verify(message: bytes, tag: MacTag, pool: AuthKeyPool) -> VerifyResult:
 
 SCHEME_LAMPORT = "lamport"
 SCHEME_WINTERNITZ = "winternitz"
-
-
-class KeyReuseError(Exception):
-    """A one-time signing key was asked to sign a second message."""
 
 
 def _ots_hash(data: bytes, out_bits: int) -> bytes:

@@ -8,7 +8,7 @@ feed the error-rate estimate that decides whether the session proceeds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -117,10 +117,8 @@ class EstimationResult:
     """Outcome of the eavesdropping-level estimate over the disclosed X sample."""
 
     e_x: Optional[float]
-    sample_size: int
     decision: Decision
     reason: Optional[str] = None
-    threshold: float = field(default=0.11)
 
 
 def estimate_eavesdropping(x_sample: PairedBits, threshold: float) -> EstimationResult:
@@ -132,22 +130,8 @@ def estimate_eavesdropping(x_sample: PairedBits, threshold: float) -> Estimation
     if not 0.0 < threshold < 0.5:
         raise ValueError(f"threshold must lie in (0, 0.5), got {threshold}")
     if x_sample.size == 0:
-        return EstimationResult(
-            e_x=None,
-            sample_size=0,
-            decision=Decision.ABORT,
-            reason=REASON_EMPTY_SAMPLE,
-            threshold=threshold,
-        )
+        return EstimationResult(e_x=None, decision=Decision.ABORT, reason=REASON_EMPTY_SAMPLE)
     e_x = x_sample.mismatches() / x_sample.size
     if e_x > threshold:
-        return EstimationResult(
-            e_x=e_x,
-            sample_size=x_sample.size,
-            decision=Decision.ABORT,
-            reason=REASON_THRESHOLD,
-            threshold=threshold,
-        )
-    return EstimationResult(
-        e_x=e_x, sample_size=x_sample.size, decision=Decision.PROCEED, threshold=threshold
-    )
+        return EstimationResult(e_x=e_x, decision=Decision.ABORT, reason=REASON_THRESHOLD)
+    return EstimationResult(e_x=e_x, decision=Decision.PROCEED)
