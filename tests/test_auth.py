@@ -78,20 +78,20 @@ def test_blocks_match_a_bit_string_oracle():
         assert list(_blocks(data, n_bits, width)) == expected, (data, n_bits, width)
 
 
-# poly_compress of default_rng(9).bytes(n) for n = 0, 1, 9, 1001, keyed by
+# poly_compress of default_rng(9).bytes(n) for n = 0, 1, 9, 1001, 75_000, keyed by
 # alpha = 0x9E3779B97F4A7C15 mod 2^w
 POLY_COMPRESS_GOLDEN = {
-    4: [0, 8, 12, 9],
-    8: [0, 137, 208, 149],
-    16: [0, 49621, 17240, 47021],
-    32: [0, 3679707455, 372640788, 171513267],
-    64: [0, 15040841656495759556, 14625162192204276622, 17871303646176066603],
+    4: [0, 8, 12, 9, 2],
+    8: [0, 137, 208, 149, 11],
+    16: [0, 49621, 17240, 47021, 21250],
+    32: [0, 3679707455, 372640788, 171513267, 2903366465],
+    64: [0, 15040841656495759556, 14625162192204276622, 17871303646176066603, 1551186593175145589],
 }
 
 
 @pytest.mark.parametrize("word_bits", sorted(POLY_COMPRESS_GOLDEN))
 def test_poly_compress_golden(word_bits):
-    messages = [np.random.default_rng(9).bytes(n) for n in (0, 1, 9, 1001)]
+    messages = [np.random.default_rng(9).bytes(n) for n in (0, 1, 9, 1001, 75_000)]
     alpha = 0x9E3779B97F4A7C15 % (1 << word_bits)
     got = [poly_compress(m, alpha, word_bits) for m in messages]
     assert got == POLY_COMPRESS_GOLDEN[word_bits]

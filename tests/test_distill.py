@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -97,6 +98,17 @@ def test_toeplitz_linearity():
         left = toeplitz_apply(seed, a ^ b, 32)
         right = toeplitz_apply(seed, a, 32) ^ toeplitz_apply(seed, b, 32)
         assert np.array_equal(left, right)
+
+
+def test_toeplitz_golden_at_noisy_bulk_size():
+    # SHA-256 of the output bytes at the bench noisy-bulk shape
+    rng = np.random.default_rng(20_300)
+    seed = ToeplitzSeed.random(20_300, 5_900, rng)
+    x = rng.integers(0, 2, 20_300, dtype=np.uint8)
+    out = toeplitz_apply(seed, x, 5_900)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "aade284f589e168c8e8a5bacf3d863fadcdcc2e61b37d0e37f63b0c6b427e0d2"
+    )
 
 
 def test_all_zero_key_hashes_to_zero():
