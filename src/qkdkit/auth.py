@@ -39,19 +39,26 @@ _GF_MODULI = {
 }
 
 
-def gf_mul(a: int, b: int, word_bits: int) -> int:
-    """Carry-less multiply modulo the fixed irreducible polynomial."""
+def _mul_tables(alpha: int, word_bits: int) -> list[tuple[int, list[int]]]:
+    """(shift, table) per byte of a word: alpha * x is the xor over its bytes
+    of table[(x >> shift) & 0xFF], since multiplying by alpha is GF(2)-linear.
+
+    Entry b of the table at shift s is alpha * b * x^s, built by doubling
+    from the products alpha * x^i; w = 4 has one 16-entry table.
+    """
     modulus = _GF_MODULI[word_bits]
     top = 1 << word_bits
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= modulus
-    return result
+    power = alpha  # alpha * x^i for the next bit i
+    tables = []
+    for shift in range(0, word_bits, 8):
+        table = [0]
+        for _ in range(min(8, word_bits - shift)):
+            table += [entry ^ power for entry in table]
+            power <<= 1
+            if power & top:
+                power ^= modulus
+        tables.append((shift, table))
+    return tables
 
 
 def _blocks(data: bytes, n_bits: int, width: int) -> Iterator[int]:
@@ -83,13 +90,20 @@ def poly_compress(message: bytes, alpha: int, word_bits: int) -> int:
     Horner evaluation over the block sequence [bit_length, m_1, ..., m_L]
     (big-endian w-bit blocks, the last zero-padded). Two distinct
     equal-length messages collide with probability at most (L-1) * 2^-w
-    over alpha; single-block messages never collide.
+    over alpha; single-block messages never collide. Each multiplication
+    by alpha is a few byte-table lookups (Shoup, CRYPTO 1996); that is the
+    same field product as a bit-serial multiply, so hash and bound are
+    unchanged.
     """
     if word_bits not in _GF_MODULI:
         raise ValueError(f"word_bits must be one of {sorted(_GF_MODULI)}")
+    tables = _mul_tables(alpha, word_bits)
     acc = (8 * len(message)) % (1 << word_bits)
     for block in _blocks(message, 8 * len(message), word_bits):
-        acc = gf_mul(acc, alpha, word_bits) ^ block
+        # acc <- alpha * acc ^ block
+        for shift, table in tables:
+            block ^= table[(acc >> shift) & 0xFF]
+        acc = block
     return acc
 
 
@@ -223,6 +237,15 @@ def wc_verify(message: bytes, tag: MacTag, pool: AuthKeyPool) -> VerifyResult:
 
 SCHEME_LAMPORT = "lamport"
 SCHEME_WINTERNITZ = "winternitz"
+# accepted key sizes; the scenario config checks against these too
+OTS_SECURITY_BITS = range(8, 257, 8)
+OTS_DIGEST_BITS = range(1, 257)
+
+
+def _range_text(values: range) -> str:
+    """The accepted values as error messages state them, e.g. 'in [1, 256]'."""
+    step = f"a multiple of {values.step} " if values.step > 1 else ""
+    return f"{step}in [{values.start}, {values[-1]}]"
 
 
 def _ots_hash(data: bytes, out_bits: int) -> bytes:
@@ -238,8 +261,8 @@ def _chain(value: bytes, steps: int, security_bits: int) -> bytes:
 def _chain_shape(scheme: str, digest_bits: int, window: int) -> tuple[int, int, int]:
     """(number of chains, hash steps from a chain's start to its end, window);
     Lamport has no window and reports 0."""
-    if not 1 <= digest_bits <= 256:
-        raise ValueError("digest_bits must lie in [1, 256]")
+    if digest_bits not in OTS_DIGEST_BITS:
+        raise ValueError(f"digest_bits must lie {_range_text(OTS_DIGEST_BITS)}")
     if scheme == SCHEME_LAMPORT:
         return 2 * digest_bits, 1, 0
     if scheme != SCHEME_WINTERNITZ:
@@ -266,8 +289,8 @@ class OtsPublicKey:
     window: int = 0
 
     def __post_init__(self) -> None:
-        if not 8 <= self.security_bits <= 256 or self.security_bits % 8:
-            raise ValueError("security_bits must be a multiple of 8 in [8, 256]")
+        if self.security_bits not in OTS_SECURITY_BITS:
+            raise ValueError(f"security_bits must be {_range_text(OTS_SECURITY_BITS)}")
         n_chains, _, window = _chain_shape(self.scheme, self.digest_bits, self.window)
         n_bytes = self.security_bits // 8
         if window != self.window or len(self.ends) != n_chains or any(len(e) != n_bytes for e in self.ends):
@@ -309,7 +332,10 @@ def ots_keygen(
 ) -> OtsKeypair:
     """Generate a one-time keypair; the public half is exportable."""
     n_chains, length, window = _chain_shape(scheme, digest_bits, window)
-    secret = [rng.bytes(security_bits // 8) for _ in range(n_chains)]
+    n_bytes = security_bits // 8
+    # one draw of the words that n_chains calls of rng.bytes(n_bytes) would take
+    words = rng.integers(0, 2**32, size=(n_chains, -(-n_bytes // 4)), dtype=np.uint32)
+    secret = [row.tobytes()[:n_bytes] for row in words.astype("<u4")]
     ends = tuple(_chain(start, length, security_bits) for start in secret)
     return OtsKeypair(secret, OtsPublicKey(ends, security_bits, digest_bits, scheme, window))
 

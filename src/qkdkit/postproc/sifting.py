@@ -110,6 +110,7 @@ class Decision(enum.Enum):
 
 REASON_EMPTY_SAMPLE = "empty-sample"
 REASON_THRESHOLD = "error-rate-above-threshold"
+THRESHOLD_RANGE = (0.0, 0.5)  # open: at 0.5 the X bits are uncorrelated
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,9 @@ def estimate_eavesdropping(x_sample: PairedBits, threshold: float) -> Estimation
     The protocol aborts when the observed fraction exceeds the threshold,
     or (with a distinct reason) when no sample is available at all.
     """
-    if not 0.0 < threshold < 0.5:
-        raise ValueError(f"threshold must lie in (0, 0.5), got {threshold}")
+    lo, hi = THRESHOLD_RANGE
+    if not lo < threshold < hi:
+        raise ValueError(f"threshold must lie in ({lo:g}, {hi:g}), got {threshold}")
     if x_sample.size == 0:
         return EstimationResult(e_x=None, decision=Decision.ABORT, reason=REASON_EMPTY_SAMPLE)
     e_x = x_sample.mismatches() / x_sample.size

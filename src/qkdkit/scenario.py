@@ -32,11 +32,14 @@ from .auth import (
     AuthMode,
     CannotAuthenticateError,
     InsufficientKeyError,
+    OTS_DIGEST_BITS,
+    OTS_SECURITY_BITS,
     OtsContext,
     PoolExhaustedError,
     SCHEME_LAMPORT,
     SCHEME_WINTERNITZ,
     _GF_MODULI,
+    _range_text,
     bootstrap_round_auth,
     export_ots_public,
     grow_keys,
@@ -75,6 +78,7 @@ from .postproc import (
     verify_keys,
 )
 from .postproc.reconcile import _BLOCK_SIZES, _RATE_RULES
+from .postproc.sifting import THRESHOLD_RANGE
 from .protocol import (
     AsymmetricRandom,
     BasisStrategy,
@@ -140,7 +144,8 @@ class PostprocParams:
     code_rate: str = "auto"
 
     def __post_init__(self):
-        _check(self, "threshold", 0.0 < self.threshold < 0.5, "in (0, 0.5)")
+        lo, hi = THRESHOLD_RANGE
+        _check(self, "threshold", lo < self.threshold < hi, f"in ({lo:g}, {hi:g})")
         _check(self, "verify_tag_bits", self.verify_tag_bits >= 1, ">= 1")
         _check(self, "security_margin", self.security_margin >= 0, ">= 0")
         block_lens, rates = (0, *_BLOCK_SIZES), ("auto", *_RATE_RULES)
@@ -168,9 +173,10 @@ class AuthParams:
         pool_ok = self.preshared_pool_bits >= pool_min
         _check(self, "preshared_pool_bits", pool_ok, f">= {pool_min} in {self.mode} mode")
         _check(self, "ots_keypairs", self.ots_keypairs >= 1, ">= 1")
-        security_ok = 8 <= self.ots_security_bits <= 256 and self.ots_security_bits % 8 == 0
-        _check(self, "ots_security_bits", security_ok, "a multiple of 8 in [8, 256]")
-        _check(self, "ots_digest_bits", 1 <= self.ots_digest_bits <= 256, "in [1, 256]")
+        security_ok = self.ots_security_bits in OTS_SECURITY_BITS
+        _check(self, "ots_security_bits", security_ok, _range_text(OTS_SECURITY_BITS))
+        digest_ok = self.ots_digest_bits in OTS_DIGEST_BITS
+        _check(self, "ots_digest_bits", digest_ok, _range_text(OTS_DIGEST_BITS))
         _check(self, "ots_scheme", self.ots_scheme in schemes, f"one of {schemes}")
         _check(self, "mac_tag_bits", self.mac_tag_bits >= 1, ">= 1")
         _check(self, "mac_word_bits", self.mac_word_bits in _GF_MODULI, f"one of {list(_GF_MODULI)}")

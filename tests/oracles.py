@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here deliberately avoids the library's own fast paths: matrices
-are materialized entry by entry, error rates come from exact branch
+are materialized entry by entry, Toeplitz products are direct convolutions,
+field products are bit-serial, error rates come from exact branch
 enumeration, the quantum phase is simulated one pulse at a time, and key
 exposure is re-derived by replaying stored material against public
 transcripts.
@@ -14,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from qkdkit.auth import _GF_MODULI, _blocks
 from qkdkit.channel import Basis, ChannelParams, EveKind, EveModel, IntensityClass
 from qkdkit.network import NetworkState, NetworkTopology, NodeRole, Provenance
 
@@ -113,6 +115,36 @@ def toeplitz_matrix(seed_bits: np.ndarray, in_len: int, out_len: int) -> np.ndar
         for j in range(in_len):
             T[i, j] = seed_bits[i - j + in_len - 1]
     return T
+
+
+def toeplitz_apply_direct(seed_bits: np.ndarray, x: np.ndarray, out_len: int) -> np.ndarray:
+    """Toeplitz product as the direct integer convolution, O(n * (n + m))."""
+    in_len = x.size
+    conv = np.convolve(seed_bits.astype(np.int64), x.astype(np.int64))
+    return (conv[in_len - 1 : in_len - 1 + out_len] & 1).astype(np.uint8)
+
+
+def gf_mul(a: int, b: int, word_bits: int) -> int:
+    """Carry-less multiply modulo the fixed irreducible polynomial."""
+    modulus = _GF_MODULI[word_bits]
+    top = 1 << word_bits
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return result
+
+
+def poly_compress_reference(message: bytes, alpha: int, word_bits: int) -> int:
+    """Bit-serial Horner over [bit_length, m_1, ..., m_L]."""
+    acc = (8 * len(message)) % (1 << word_bits)
+    for block in _blocks(message, 8 * len(message), word_bits):
+        acc = gf_mul(acc, alpha, word_bits) ^ block
+    return acc
 
 
 def replay_exposed(state: NetworkState, node: str) -> set[int]:

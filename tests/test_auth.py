@@ -20,7 +20,6 @@ from qkdkit.auth import (
     _chain,
     bootstrap_round_auth,
     export_ots_public,
-    gf_mul,
     grow_keys,
     import_ots_public,
     ots_keygen,
@@ -33,6 +32,7 @@ from qkdkit.auth import (
 )
 from qkdkit.bits import int_to_bits, random_bits
 from qkdkit.keys import KeyMaterial, KeyStage
+from oracles import gf_mul, poly_compress_reference
 
 
 def mirrored_pools(n_bits: int, seed: int = 40) -> tuple[AuthKeyPool, AuthKeyPool]:
@@ -95,6 +95,20 @@ def test_poly_compress_golden(word_bits):
     alpha = 0x9E3779B97F4A7C15 % (1 << word_bits)
     got = [poly_compress(m, alpha, word_bits) for m in messages]
     assert got == POLY_COMPRESS_GOLDEN[word_bits]
+
+
+@pytest.mark.parametrize("word_bits", sorted(_GF_MODULI))
+def test_poly_compress_matches_bit_serial_horner(word_bits):
+    rng = np.random.default_rng(58)
+    block = word_bits // 8
+    lengths = sorted({0, 1, max(block - 1, 0), block, block + 1, 1001, 8192})
+    alphas = [0, 1, (1 << word_bits) - 1] + [int(rng.integers(0, 1 << word_bits, dtype=np.uint64)) for _ in range(3)]
+    for n in lengths:
+        message = rng.bytes(n)
+        for alpha in alphas:
+            assert poly_compress(message, alpha, word_bits) == poly_compress_reference(message, alpha, word_bits), (n, alpha)
+    message = rng.bytes(75_000)
+    assert poly_compress(message, alphas[-1], word_bits) == poly_compress_reference(message, alphas[-1], word_bits)
 
 
 def test_mac_roundtrip_and_lockstep():
@@ -301,6 +315,16 @@ def test_public_key_must_match_its_parameters():
     with pytest.raises(ValueError):
         OtsPublicKey((), 64, 0)
     assert ots_keygen(np.random.default_rng(57), 64, 48, "lamport", 4).public.window == 0
+
+
+def test_ots_keygen_draws_the_bytes_of_one_call_per_chain():
+    # the one bulk draw must leave secrets and generator state as one
+    # rng.bytes call per chain would
+    for n_bytes in range(1, 33):
+        rng, reference = np.random.default_rng(n_bytes), np.random.default_rng(n_bytes)
+        kp = ots_keygen(rng, security_bits=8 * n_bytes, digest_bits=16)
+        assert kp.secret == [reference.bytes(n_bytes) for _ in range(32)]
+        assert rng.bytes(7) == reference.bytes(7)
 
 
 # SHA-256 of the exported public key and of the joined revealed values of

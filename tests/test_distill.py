@@ -16,7 +16,7 @@ from qkdkit.postproc.distill import (
     verify_keys,
 )
 from qkdkit.postproc.sifting import LeakageLedger
-from oracles import toeplitz_matrix
+from oracles import toeplitz_apply_direct, toeplitz_matrix
 
 
 def ledger(sift=0, synd=0, verif=0) -> LeakageLedger:
@@ -98,6 +98,28 @@ def test_toeplitz_linearity():
         left = toeplitz_apply(seed, a ^ b, 32)
         right = toeplitz_apply(seed, a, 32) ^ toeplitz_apply(seed, b, 32)
         assert np.array_equal(left, right)
+
+
+def test_toeplitz_matches_direct_convolution():
+    rng = np.random.default_rng(23)
+    # edge shapes, then random ones; the all-ones pair gives the largest sums
+    shapes = [(1, 1), (1, 9), (9, 1), (4096, 1), (1, 4096), (33, 33), (1000, 1000), (20_000, 20_000)]
+    shapes += [(int(n), int(rng.integers(1, n + 1))) for n in rng.integers(2, 5000, 20)]
+    for in_len, out_len in shapes:
+        seeds = [ToeplitzSeed.random(in_len, out_len, rng), ToeplitzSeed(np.ones(in_len + out_len - 1))]
+        inputs = [rng.integers(0, 2, in_len, dtype=np.uint8), np.ones(in_len, dtype=np.uint8)]
+        for seed, x in zip(seeds, inputs):
+            expected = toeplitz_apply_direct(seed.bits, x, out_len)
+            assert np.array_equal(toeplitz_apply(seed, x, out_len), expected), (in_len, out_len)
+
+
+def test_toeplitz_rejects_inexact_fft(monkeypatch):
+    rng = np.random.default_rng(24)
+    seed = ToeplitzSeed.random(100, 40, rng)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
+    with pytest.raises(FloatingPointError):
+        toeplitz_apply(seed, rng.integers(0, 2, 100, dtype=np.uint8), 40)
 
 
 def test_toeplitz_golden_at_noisy_bulk_size():
