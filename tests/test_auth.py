@@ -100,15 +100,15 @@ def test_poly_compress_golden(word_bits):
 @pytest.mark.parametrize("word_bits", sorted(_GF_MODULI))
 def test_poly_compress_matches_bit_serial_horner(word_bits):
     rng = np.random.default_rng(58)
-    block = word_bits // 8
+    block = word_bits // 8  # bytes per block; w = 4 has half a byte
     lengths = sorted({0, 1, max(block - 1, 0), block, block + 1, 1001, 8192})
-    alphas = [0, 1, (1 << word_bits) - 1] + [int(rng.integers(0, 1 << word_bits, dtype=np.uint64)) for _ in range(3)]
-    for n in lengths:
-        message = rng.bytes(n)
-        for alpha in alphas:
-            assert poly_compress(message, alpha, word_bits) == poly_compress_reference(message, alpha, word_bits), (n, alpha)
-    message = rng.bytes(75_000)
-    assert poly_compress(message, alphas[-1], word_bits) == poly_compress_reference(message, alphas[-1], word_bits)
+    alphas = [0, 1, (1 << word_bits) - 1]
+    alphas += [int.from_bytes(rng.bytes(8), "big") % (1 << word_bits) for _ in range(3)]
+    cases = [(rng.bytes(n), alpha) for n in lengths for alpha in alphas]
+    cases.append((rng.bytes(75_000), alphas[-1]))
+    for message, alpha in cases:
+        want = poly_compress_reference(message, alpha, word_bits)
+        assert poly_compress(message, alpha, word_bits) == want, (len(message), alpha)
 
 
 def test_mac_roundtrip_and_lockstep():
