@@ -255,10 +255,11 @@ def decode_syndrome(
     syn_sign = (1.0 - 2.0 * s).astype(np.float64)
 
     edge_msgs = np.zeros((m, wmax), dtype=np.float64)
+    # posterior LLR per variable (plus the padding slot); carried from the
+    # end of one iteration to the start of the next
+    totals = np.full(code.n + 1, llr0, dtype=np.float64)
     e_hat = np.zeros(code.n, dtype=np.uint8)
     for _ in range(max_iterations):
-        totals = np.full(code.n + 1, llr0, dtype=np.float64)
-        np.add.at(totals, rows, edge_msgs)
         var_msgs = totals[rows] - edge_msgs
         var_msgs[pad] = np.inf
 
