@@ -4,7 +4,6 @@ from .sifting import (
     AnnouncementBundle,
     Decision,
     EstimationResult,
-    LeakageLedger,
     PairedBits,
     announce_and_sift,
     estimate_eavesdropping,
@@ -32,7 +31,6 @@ __all__ = [
     "AnnouncementBundle",
     "Decision",
     "EstimationResult",
-    "LeakageLedger",
     "PairedBits",
     "announce_and_sift",
     "estimate_eavesdropping",

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..bits import as_bits, random_bits
 from ..keys import KeyMaterial, KeyStage
-from .sifting import LeakageLedger
 
 
 def binary_entropy(e: float) -> float:
@@ -29,23 +28,19 @@ def binary_entropy(e: float) -> float:
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
 
 
-def compute_final_length(
-    n_sifted: int,
-    e_x: float,
-    ledger: LeakageLedger,
-    security_margin: int,
-) -> int:
+def compute_final_length(n_sifted: int, e_x: float, leak: int, security_margin: int) -> int:
     """Asymptotic estimate of the extractable key length after compression.
 
-    out = max(0, floor(n_sifted * (1 - h(e_x))) - syndrome - verification
-              - margin); the result never grows when the error rate or any
-    leakage term grows. Zero means the round yields no key.
+    `leak` is every key bit disclosed about the sifted key: the syndrome
+    and parity bits of reconciliation plus the verification tag.
+    out = max(0, floor(n_sifted * (1 - h(e_x))) - leak - margin); the result
+    never grows when the error rate or the leak grows. Zero means the round
+    yields no key.
     """
-    if n_sifted < 0 or security_margin < 0:
+    if n_sifted < 0 or leak < 0 or security_margin < 0:
         raise ValueError("inputs must be non-negative")
     usable = math.floor(n_sifted * (1.0 - binary_entropy(e_x)))
-    out = usable - ledger.syndrome_bits - ledger.verification_bits - security_margin
-    return max(0, out)
+    return max(0, usable - leak - security_margin)
 
 
 @dataclass(frozen=True)
@@ -108,12 +103,11 @@ def verify_keys(
     k_b: KeyMaterial,
     hash_seed: ToeplitzSeed,
     tag_bits: int,
-    ledger: LeakageLedger | None = None,
 ) -> bool:
     """Compare short hashes of the two keys under a fresh public seed.
 
     Equal keys always verify; unequal keys collide with probability 2^-tag_bits
-    over the seed choice. The disclosed tag adds tag_bits to the ledger.
+    over the seed choice. The published tag discloses tag_bits key bits.
     """
     if k_a.length != k_b.length:
         raise ValueError(f"key lengths differ: {k_a.length} vs {k_b.length}")
@@ -121,8 +115,6 @@ def verify_keys(
         raise ValueError("tag_bits must be positive")
     tag_a = toeplitz_apply(hash_seed, k_a.bits, tag_bits)
     tag_b = toeplitz_apply(hash_seed, k_b.bits, tag_bits)
-    if ledger is not None:
-        ledger.add_verification(tag_bits)
     return bool(np.array_equal(tag_a, tag_b))
 
 

@@ -5,8 +5,8 @@ each fixed-size block under a shipped parity-check matrix; the receiver
 runs normalized min-sum belief propagation on the syndrome difference to
 locate his errors. Blocks the decoder cannot fix fall back to a
 deterministic interactive parity-bisection exchange before the session
-gives up. All disclosed bits (syndromes and parities) are charged to the
-leakage ledger.
+gives up. `correct_errors` returns the count of every bit it disclosed
+(syndromes and parities), which the final-length computation charges.
 
 Parity-check matrices are versioned data files generated once with fixed
 seeds; see `make_parity_check` for the construction.
@@ -361,7 +361,6 @@ def correct_errors(
     reference: KeyMaterial,
     noisy: KeyMaterial,
     params: ReconcileParams,
-    ledger=None,
 ) -> tuple[KeyMaterial, int]:
     """Reconcile the noisy key against the reference.
 
@@ -370,8 +369,7 @@ def correct_errors(
     decodes the syndrome difference, falling back to parity bisection when
     belief propagation fails. Raises DecodeFailureError when a block cannot
     be fixed, LengthMismatchError on unequal inputs. Returns the corrected
-    key and the number of disclosed bits, which is also charged to the
-    ledger when one is given.
+    key and the number of disclosed bits.
     """
     if reference.length != noisy.length:
         raise LengthMismatchError(f"key lengths differ: {reference.length} vs {noisy.length}")
@@ -424,6 +422,4 @@ def correct_errors(
             fixed = np.pad(fixed_real, (0, pad_width))
         corrected[off : off + block_len - pad_width] = fixed[: block_len - pad_width]
 
-    if ledger is not None:
-        ledger.add_syndrome(leak)
     return noisy.with_bits(corrected), leak

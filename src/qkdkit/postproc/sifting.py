@@ -18,33 +18,6 @@ from ..keys import KeyMaterial, KeyStage
 from ..protocol import ProtocolError, Transcript
 
 
-@dataclass
-class LeakageLedger:
-    """Running count of key-relevant bits disclosed over the public channel.
-
-    Counters only grow; `total` feeds the final-length computation together
-    with the configured security margin.
-    """
-
-    sifting_disclosed: int = 0
-    syndrome_bits: int = 0
-    verification_bits: int = 0
-
-    def add_sifting(self, n: int) -> None:
-        self._add("sifting_disclosed", n)
-
-    def add_syndrome(self, n: int) -> None:
-        self._add("syndrome_bits", n)
-
-    def add_verification(self, n: int) -> None:
-        self._add("verification_bits", n)
-
-    def _add(self, name: str, n: int) -> None:
-        if n < 0:
-            raise ValueError("leakage increments must be non-negative")
-        setattr(self, name, getattr(self, name) + n)
-
-
 @dataclass(frozen=True)
 class PairedBits:
     """Disclosed bit pairs (sender, receiver) at the same positions."""
@@ -66,22 +39,23 @@ class AnnouncementBundle:
     """What sifting derived from the announcements, kept for audit.
 
     `detected_indices` lists the positions the receiver announced as
-    detected; `x_basis_bits` holds the disclosed bit pairs at detected signal
-    positions where both parties used the X basis.
+    detected.
     """
 
     detected_indices: np.ndarray
-    x_basis_bits: PairedBits
 
 
 def announce_and_sift(
     t: Transcript,
-) -> tuple[KeyMaterial, KeyMaterial, PairedBits, AnnouncementBundle, LeakageLedger]:
+) -> tuple[KeyMaterial, KeyMaterial, PairedBits, AnnouncementBundle, int]:
     """Exchange announcements and sift the transcript.
 
-    Returns (sifted_A, sifted_B, x_sample, bundle, ledger). Sifted keys
+    Returns (sifted_A, sifted_B, x_sample, bundle, disclosed). Sifted keys
     contain exactly the detected, signal-intensity, both-Z positions in
     index order; an empty result is legal and must be handled downstream.
+    `x_sample` holds the bit pairs at detected signal positions where both
+    parties used the X basis; both parties publish theirs, so `disclosed`
+    is 2 * x_sample.size.
     """
     if t.bit is None or t.basis is None or t.decoy is None:
         raise ProtocolError("transcript is missing the sender's prepared columns")
@@ -93,14 +67,11 @@ def announce_and_sift(
     keep = matched & (t.basis == Basis.Z)
     x_idx = np.flatnonzero(matched & (t.basis == Basis.X))
     x_sample = PairedBits(indices=x_idx, alice=t.bit[x_idx], bob=t.measured_bit[x_idx])
-    bundle = AnnouncementBundle(detected_indices=np.flatnonzero(t.detected), x_basis_bits=x_sample)
-    ledger = LeakageLedger()
-    # Both parties publish their bits at matched-X signal positions.
-    ledger.add_sifting(2 * x_sample.size)
+    bundle = AnnouncementBundle(detected_indices=np.flatnonzero(t.detected))
 
     sifted_a = KeyMaterial(t.bit[keep], stage=KeyStage.SIFTED)
     sifted_b = KeyMaterial(t.measured_bit[keep], stage=KeyStage.SIFTED)
-    return sifted_a, sifted_b, x_sample, bundle, ledger
+    return sifted_a, sifted_b, x_sample, bundle, 2 * x_sample.size
 
 
 class Decision(enum.Enum):

@@ -11,7 +11,8 @@ verification, privacy amplification, and the final-key split that funds
 the next round's authentication pool. Every classical message is
 authenticated (one-time signatures in a bootstrap first round, the
 one-time MAC afterwards) and logged with the number of key-relevant bits
-it disclosed, so leakage accounting can be audited off the message log.
+it disclosed, so the disclosure counts in each round's report row can be
+audited off the message log.
 The reconciliation exchange is batched into a single authenticated
 message whose payload carries all disclosed syndrome and parity bits.
 """
@@ -338,8 +339,9 @@ def scenario_to_dict(s: Scenario) -> dict:
 class PublicMessage:
     """One authenticated classical message, kept for audit.
 
-    `disclosed` counts key-relevant bits by ledger category; metadata like
-    indices, bases and hash seeds is public but discloses no key bits.
+    `disclosed` counts key-relevant bits by category ("sifting", "syndrome",
+    "verification"), the same counts the round's report row holds; metadata
+    like indices, bases and hash seeds is public but discloses no key bits.
     """
 
     round_no: int
@@ -549,7 +551,7 @@ def _run_round(
     if transcripts is not None:
         transcripts.append(transcript)
 
-    sifted_a, sifted_b, x_sample, bundle, ledger = announce_and_sift(transcript)
+    sifted_a, sifted_b, x_sample, bundle, sifting_disclosed = announce_and_sift(transcript)
     n_detected = int(bundle.detected_indices.size)
 
     # Bases are announced as bits (X = 1), intensities as decoy flags.
@@ -594,7 +596,7 @@ def _run_round(
         e_x=None if est.e_x is None else round(est.e_x, 8),
         decision=est.decision.value,
         reason=est.reason,
-        sifting_disclosed=ledger.sifting_disclosed,
+        sifting_disclosed=sifting_disclosed,
     )
 
     if est.decision is Decision.ABORT:
@@ -611,7 +613,7 @@ def _run_round(
         block_len=pp.ldpc_block_len,
         rate_label=pp.code_rate,
     )
-    corrected_b, syndrome_leak = correct_errors(sifted_a, sifted_b, reconcile, ledger)
+    corrected_b, syndrome_leak = correct_errors(sifted_a, sifted_b, reconcile)
     messenger.send(
         round_no,
         "alice",
@@ -627,7 +629,7 @@ def _run_round(
 
     public_rng = np.random.default_rng(derive_seed(scenario.master_seed, "public-coins", round_no))
     verify_seed = ToeplitzSeed.random(sifted_a.length, pp.verify_tag_bits, public_rng)
-    verified = verify_keys(sifted_a, corrected_b, verify_seed, pp.verify_tag_bits, ledger)
+    verified = verify_keys(sifted_a, corrected_b, verify_seed, pp.verify_tag_bits)
     messenger.send(
         round_no,
         "alice",
@@ -636,8 +638,8 @@ def _run_round(
         disclosed={"verification": pp.verify_tag_bits},
     )
     messenger.send(round_no, "bob", "verify-ack", {"ok": verified})
-    report.syndrome_bits = ledger.syndrome_bits
-    report.verification_bits = ledger.verification_bits
+    report.syndrome_bits = syndrome_leak
+    report.verification_bits = pp.verify_tag_bits
     report.verified = verified
 
     if not verified:
@@ -646,9 +648,8 @@ def _run_round(
 
     verified_a = sifted_a.advanced(KeyStage.VERIFIED)
     verified_b = corrected_b.advanced(KeyStage.VERIFIED)
-    out_len = compute_final_length(
-        verified_a.length, est.e_x or 0.0, ledger, pp.security_margin
-    )
+    leak = report.syndrome_bits + report.verification_bits
+    out_len = compute_final_length(verified_a.length, est.e_x or 0.0, leak, pp.security_margin)
     pa_seed = ToeplitzSeed.random(verified_a.length, out_len, public_rng)
     final_a = amplify_privacy(verified_a, pa_seed, out_len)
     final_b = amplify_privacy(verified_b, pa_seed, out_len)

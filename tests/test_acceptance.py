@@ -47,7 +47,6 @@ from qkdkit.network import (
     preshared_pairs_count,
 )
 from qkdkit.postproc import (
-    LeakageLedger,
     ReconcileParams,
     ToeplitzSeed,
     amplify_privacy,
@@ -184,18 +183,14 @@ def test_criterion_4_reconciliation_at_design_rate():
             noisy_bits = reference_bits ^ (rng.random(4096) < 0.05).astype(np.uint8)
             reference = KeyMaterial(reference_bits, KeyStage.SIFTED)
             noisy = KeyMaterial(noisy_bits, KeyStage.SIFTED)
-            ledger = LeakageLedger()
-            corrected, leak = correct_errors(reference, noisy, params, ledger)
-            assert leak == ledger.syndrome_bits
+            corrected, leak = correct_errors(reference, noisy, params)
             leaks.append(leak)
             # bitwise oracle against the reference key
             successes += bool(np.array_equal(corrected.bits, reference_bits))
         assert successes >= 99, f"only {successes}/100 reconciled exactly"
 
-        ledger = LeakageLedger()
-        ledger.add_syndrome(leaks[0])
-        with_leak = compute_final_length(4096, 0.05, ledger, 0)
-        without_leak = compute_final_length(4096, 0.05, LeakageLedger(), 0)
+        with_leak = compute_final_length(4096, 0.05, leaks[0], 0)
+        without_leak = compute_final_length(4096, 0.05, 0, 0)
         assert without_leak - with_leak == leaks[0]
         assert with_leak == math.floor(4096 * (1 - binary_entropy(0.05))) - leaks[0]
 

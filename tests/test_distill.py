@@ -15,16 +15,7 @@ from qkdkit.postproc.distill import (
     toeplitz_apply,
     verify_keys,
 )
-from qkdkit.postproc.sifting import LeakageLedger
 from oracles import toeplitz_apply_direct, toeplitz_matrix
-
-
-def ledger(sift=0, synd=0, verif=0) -> LeakageLedger:
-    led = LeakageLedger()
-    led.add_sifting(sift)
-    led.add_syndrome(synd)
-    led.add_verification(verif)
-    return led
 
 
 def test_binary_entropy_reference_points():
@@ -41,12 +32,15 @@ def test_binary_entropy_reference_points():
 
 
 def test_final_length_formula():
-    assert compute_final_length(500, 0.0, ledger(), 0) == 500
-    assert compute_final_length(500, 0.5, ledger(synd=0), 0) == 0
-    assert compute_final_length(500, 0.5, ledger(synd=10_000), 123) == 0
+    assert compute_final_length(500, 0.0, 0, 0) == 500
+    assert compute_final_length(500, 0.5, 0, 0) == 0
+    assert compute_final_length(500, 0.5, 10_000, 123) == 0
     expected = math.floor(10_000 * (1 - binary_entropy(0.05))) - 1200 - 64 - 100
-    got = compute_final_length(10_000, 0.05, ledger(synd=1200, verif=64), 100)
+    got = compute_final_length(10_000, 0.05, 1200 + 64, 100)
     assert got == expected == 5772
+    for n, leak, margin in ((-1, 0, 0), (500, -1, 0), (500, 0, -1)):
+        with pytest.raises(ValueError):
+            compute_final_length(n, 0.0, leak, margin)
 
 
 @settings(max_examples=200)
@@ -54,17 +48,16 @@ def test_final_length_formula():
     n=st.integers(0, 20_000),
     e1=st.floats(0, 0.5),
     e2=st.floats(0, 0.5),
-    synd=st.integers(0, 5000),
+    leak=st.integers(0, 5000),
     extra=st.integers(0, 2000),
     margin=st.integers(0, 500),
 )
-def test_final_length_monotonicity(n, e1, e2, synd, extra, margin):
+def test_final_length_monotonicity(n, e1, e2, leak, extra, margin):
     lo, hi = sorted((e1, e2))
-    base = compute_final_length(n, lo, ledger(synd=synd), margin)
-    assert compute_final_length(n, hi, ledger(synd=synd), margin) <= base
-    assert compute_final_length(n, lo, ledger(synd=synd + extra), margin) <= base
-    assert compute_final_length(n, lo, ledger(synd=synd, verif=extra), margin) <= base
-    assert compute_final_length(n, lo, ledger(synd=synd), margin + extra) <= base
+    base = compute_final_length(n, lo, leak, margin)
+    assert compute_final_length(n, hi, leak, margin) <= base
+    assert compute_final_length(n, lo, leak + extra, margin) <= base
+    assert compute_final_length(n, lo, leak, margin + extra) <= base
 
 
 def test_toeplitz_worked_example():
@@ -175,14 +168,6 @@ def test_verify_keys_catches_single_bit_flips():
         not verify_keys(k_a, k_b, ToeplitzSeed.random(64, 16, rng), 16) for _ in range(100)
     )
     assert rejections >= 99
-
-
-def test_verify_keys_updates_ledger():
-    led = LeakageLedger()
-    rng = np.random.default_rng(25)
-    k = KeyMaterial(np.ones(10, dtype=np.uint8), KeyStage.SIFTED)
-    verify_keys(k, k, ToeplitzSeed.random(10, 16, rng), 16, led)
-    assert led.verification_bits == 16
 
 
 def test_amplify_privacy_contract():

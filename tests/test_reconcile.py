@@ -17,7 +17,6 @@ from qkdkit.postproc.reconcile import (
     parity_bisection,
     parse_code_file,
 )
-from qkdkit.postproc.sifting import LeakageLedger
 
 
 def keypair(bits_a, bits_b):
@@ -63,11 +62,10 @@ def test_zero_error_keys_decode_immediately():
     rng = np.random.default_rng(30)
     bits = rng.integers(0, 2, 1024, dtype=np.uint8)
     ref, noisy = keypair(bits, bits.copy())
-    led = LeakageLedger()
-    corrected, leak = correct_errors(ref, noisy, ReconcileParams(est_qber=0.0), led)
+    corrected, leak = correct_errors(ref, noisy, ReconcileParams(est_qber=0.0))
     assert np.array_equal(corrected.bits, bits)
     code = load_code("r090_n1024")
-    assert leak == code.m == led.syndrome_bits  # one block syndrome, nothing else
+    assert leak == code.m  # one block syndrome, nothing else
 
 
 def test_single_flipped_bit_in_design_block():

@@ -320,8 +320,8 @@ def test_verification_failure_discards_the_round(monkeypatch):
 
     real_correct_errors = qkdkit.scenario.correct_errors
 
-    def correct_errors_flipping_one_bit(reference, noisy, params, ledger=None):
-        corrected, leak = real_correct_errors(reference, noisy, params, ledger)
+    def correct_errors_flipping_one_bit(reference, noisy, params):
+        corrected, leak = real_correct_errors(reference, noisy, params)
         bits = corrected.bits.copy()
         bits[0] ^= 1
         return corrected.with_bits(bits), leak

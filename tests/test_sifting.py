@@ -5,7 +5,6 @@ from qkdkit.channel import Basis, ChannelParams, EveKind, EveModel, IntensityCla
 from qkdkit.keys import KeyStage
 from qkdkit.postproc.sifting import (
     Decision,
-    LeakageLedger,
     REASON_EMPTY_SAMPLE,
     REASON_THRESHOLD,
     PairedBits,
@@ -49,14 +48,14 @@ def test_hand_applied_sift_rule():
         (True, S, Z, X, 0, 1),
         (True, S, Z, Z, 0, 0),
     ]
-    sifted_a, sifted_b, x_sample, bundle, ledger = announce_and_sift(build_transcript(rows))
+    sifted_a, sifted_b, x_sample, bundle, disclosed = announce_and_sift(build_transcript(rows))
     assert sifted_a.bits.tolist() == [1, 0]  # indices 0 and 5
     assert sifted_b.bits.tolist() == [1, 0]
     assert sifted_a.stage is KeyStage.SIFTED
     assert x_sample.indices.tolist() == [3]
     assert x_sample.alice.tolist() == [1] and x_sample.bob.tolist() == [0]
     assert bundle.detected_indices.tolist() == [0, 1, 3, 4, 5]
-    assert ledger.sifting_disclosed == 2  # both parties disclosed one X bit
+    assert disclosed == 2  # both parties disclosed one X bit
 
 
 def test_decoy_matched_x_positions_stay_out_of_the_estimate():
@@ -65,10 +64,10 @@ def test_decoy_matched_x_positions_stay_out_of_the_estimate():
         (True, D, X, X, 0, 1),  # decoy: announced, never estimated
         (True, S, X, X, 0, 0),
     ]
-    _, _, x_sample, bundle, ledger = announce_and_sift(build_transcript(rows))
+    _, _, x_sample, bundle, disclosed = announce_and_sift(build_transcript(rows))
     assert x_sample.indices.tolist() == [0, 2]
     assert bundle.detected_indices.size == 3
-    assert ledger.sifting_disclosed == 4
+    assert disclosed == 4
 
 
 def test_nothing_sifted_out():
@@ -80,10 +79,10 @@ def test_nothing_sifted_out():
 
 def test_empty_input_sifts_to_nothing():
     rows = [(False, S, Z, Z, 0, None)] * 4
-    sifted_a, sifted_b, x_sample, bundle, ledger = announce_and_sift(build_transcript(rows))
+    sifted_a, sifted_b, x_sample, bundle, disclosed = announce_and_sift(build_transcript(rows))
     assert sifted_a.length == sifted_b.length == 0
     assert x_sample.size == 0 and bundle.detected_indices.size == 0
-    assert ledger.sifting_disclosed == 0
+    assert disclosed == 0
 
 
 def test_one_party_view_cannot_be_sifted():
@@ -91,16 +90,6 @@ def test_one_party_view_cannot_be_sifted():
     for party in ("alice", "bob"):
         with pytest.raises(ProtocolError):
             announce_and_sift(t.held_by(party))
-
-
-def test_ledger_counts_are_monotonic():
-    ledger = LeakageLedger()
-    ledger.add_sifting(4)
-    ledger.add_syndrome(10)
-    ledger.add_verification(64)
-    assert (ledger.sifting_disclosed, ledger.syndrome_bits, ledger.verification_bits) == (4, 10, 64)
-    with pytest.raises(ValueError):
-        ledger.add_syndrome(-1)
 
 
 def sample_of(mismatches: int, size: int) -> PairedBits:
