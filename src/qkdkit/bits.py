@@ -2,13 +2,28 @@
 
 Keys, pads, seeds and syndromes are all represented as numpy uint8 arrays
 holding one bit (0/1) per element. These helpers cover conversion,
-deterministic seed derivation and random generation.
+deterministic seed derivation and random generation, plus the field check
+that every config dataclass runs in `__post_init__`.
 """
 from __future__ import annotations
 
 import hashlib
 
 import numpy as np
+
+
+class FieldError(ValueError):
+    """A dataclass field holds a value it may not; `field` is its name."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def check_field(obj, name: str, ok: bool, allowed: str) -> None:
+    """Reject the value of obj's field `name` unless `ok`."""
+    if not ok:
+        raise FieldError(name, f"{name} must be {allowed}, got {getattr(obj, name)!r}")
 
 
 def as_bits(values) -> np.ndarray:

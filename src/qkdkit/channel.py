@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import check_field
+
 
 class Basis(enum.IntEnum):
     """Column encoding of the two bases; transcripts print the name."""
@@ -50,9 +52,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("transmittance", "misalignment_error", "decoy_detect_scale"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            check_field(self, name, 0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,9 @@ class EveModel:
     fraction: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
-        if self.kind is EveKind.NONE and self.fraction != 0.0:
-            raise ValueError("fraction must be 0 when no eavesdropper is present")
+        check_field(self, "fraction", 0.0 <= self.fraction <= 1.0, "in [0, 1]")
+        present = self.kind is not EveKind.NONE
+        check_field(self, "fraction", present or self.fraction == 0.0, "0 when no eavesdropper is present")
 
 
 def measure(

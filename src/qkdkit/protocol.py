@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bits import derive_seed
+from .bits import check_field, derive_seed
 from .channel import Basis, ChannelParams, EveModel, IntensityClass, measure, propagate
 
 
@@ -33,8 +33,7 @@ class AsymmetricRandom:
     p_z: float
 
     def __post_init__(self):
-        if not 0.0 < self.p_z < 1.0:
-            raise ValueError(f"p_z must lie in (0, 1), got {self.p_z}")
+        check_field(self, "p_z", 0.0 < self.p_z < 1.0, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ class PresharedSequence:
     shared_seed: bytes
 
     def __post_init__(self):
-        if not self.shared_seed:
-            raise ValueError("shared_seed must be non-empty")
+        check_field(self, "shared_seed", len(self.shared_seed) > 0, "non-empty")
 
 
 BasisStrategy = Union[SymmetricRandom, AsymmetricRandom, PresharedSequence]
@@ -85,10 +83,8 @@ class ProtocolConfig:
     decoy_probability: float = 0.1
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
-        if not 0.0 <= self.decoy_probability < 1.0:
-            raise ValueError(f"decoy_probability must lie in [0, 1), got {self.decoy_probability}")
+        check_field(self, "n_pulses", self.n_pulses >= 1, ">= 1")
+        check_field(self, "decoy_probability", 0.0 <= self.decoy_probability < 1.0, "in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)

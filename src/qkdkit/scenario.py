@@ -50,7 +50,7 @@ from .auth import (
     wc_tag,
     wc_verify,
 )
-from .bits import bytes_from_bits, derive_seed, random_bits
+from .bits import FieldError, bytes_from_bits, check_field, derive_seed, random_bits
 from .channel import ChannelParams, EveKind, EveModel
 from .keys import KeyStage
 from .network import (
@@ -130,12 +130,6 @@ SWEEPABLE_PARAMETERS = ("p_z", "transmittance", "eve_fraction", "threshold")
 SWEEP_COLUMNS = ("parameter", "value", "n_sifted", "e_x", "decision", "final_length", "key_rate")
 
 
-def _check(obj, name: str, ok: bool, allowed: str) -> None:
-    """Reject the value of obj's field `name` unless `ok`."""
-    if not ok:
-        raise ValueError(f"{name} must be {allowed}, got {getattr(obj, name)!r}")
-
-
 @dataclass(frozen=True)
 class PostprocParams:
     threshold: float = 0.11
@@ -146,12 +140,12 @@ class PostprocParams:
 
     def __post_init__(self):
         lo, hi = THRESHOLD_RANGE
-        _check(self, "threshold", lo < self.threshold < hi, f"in ({lo:g}, {hi:g})")
-        _check(self, "verify_tag_bits", self.verify_tag_bits >= 1, ">= 1")
-        _check(self, "security_margin", self.security_margin >= 0, ">= 0")
+        check_field(self, "threshold", lo < self.threshold < hi, f"in ({lo:g}, {hi:g})")
+        check_field(self, "verify_tag_bits", self.verify_tag_bits >= 1, ">= 1")
+        check_field(self, "security_margin", self.security_margin >= 0, ">= 0")
         block_lens, rates = (0, *_BLOCK_SIZES), ("auto", *_RATE_RULES)
-        _check(self, "ldpc_block_len", self.ldpc_block_len in block_lens, f"one of {block_lens}")
-        _check(self, "code_rate", self.code_rate in rates, f"one of {rates}")
+        check_field(self, "ldpc_block_len", self.ldpc_block_len in block_lens, f"one of {block_lens}")
+        check_field(self, "code_rate", self.code_rate in rates, f"one of {rates}")
 
 
 @dataclass(frozen=True)
@@ -168,19 +162,20 @@ class AuthParams:
 
     def __post_init__(self):
         modes, schemes = ("ots_bootstrap", "preshared_pool"), (SCHEME_LAMPORT, SCHEME_WINTERNITZ)
-        _check(self, "mode", self.mode in modes, f"one of {modes}")
-        _check(self, "reserve_bits", self.reserve_bits >= 0, ">= 0")
+        check_field(self, "mode", self.mode in modes, f"one of {modes}")
+        check_field(self, "reserve_bits", self.reserve_bits >= 0, ">= 0")
         pool_min = int(self.mode == "preshared_pool")
         pool_ok = self.preshared_pool_bits >= pool_min
-        _check(self, "preshared_pool_bits", pool_ok, f">= {pool_min} in {self.mode} mode")
-        _check(self, "ots_keypairs", self.ots_keypairs >= 1, ">= 1")
+        check_field(self, "preshared_pool_bits", pool_ok, f">= {pool_min} in {self.mode} mode")
+        check_field(self, "ots_keypairs", self.ots_keypairs >= 1, ">= 1")
         security_ok = self.ots_security_bits in OTS_SECURITY_BITS
-        _check(self, "ots_security_bits", security_ok, _range_text(OTS_SECURITY_BITS))
+        check_field(self, "ots_security_bits", security_ok, _range_text(OTS_SECURITY_BITS))
         digest_ok = self.ots_digest_bits in OTS_DIGEST_BITS
-        _check(self, "ots_digest_bits", digest_ok, _range_text(OTS_DIGEST_BITS))
-        _check(self, "ots_scheme", self.ots_scheme in schemes, f"one of {schemes}")
-        _check(self, "mac_tag_bits", self.mac_tag_bits >= 1, ">= 1")
-        _check(self, "mac_word_bits", self.mac_word_bits in _GF_MODULI, f"one of {list(_GF_MODULI)}")
+        check_field(self, "ots_digest_bits", digest_ok, _range_text(OTS_DIGEST_BITS))
+        check_field(self, "ots_scheme", self.ots_scheme in schemes, f"one of {schemes}")
+        check_field(self, "mac_tag_bits", self.mac_tag_bits >= 1, ">= 1")
+        word_ok = self.mac_word_bits in _GF_MODULI
+        check_field(self, "mac_word_bits", word_ok, f"one of {list(_GF_MODULI)}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,7 @@ class NetworkRequest:
     key_len: int
 
     def __post_init__(self):
-        _check(self, "key_len", self.key_len >= 1, ">= 1")
+        check_field(self, "key_len", self.key_len >= 1, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -216,8 +211,8 @@ class Scenario:
     network: Optional[NetworkSection] = None
 
     def __post_init__(self):
-        _check(self, "master_seed", self.master_seed >= 0, ">= 0")
-        _check(self, "rounds", self.rounds >= 1, ">= 1")
+        check_field(self, "master_seed", self.master_seed >= 0, ">= 0")
+        check_field(self, "rounds", self.rounds >= 1, ">= 1")
 
 
 # A config's strategy names its class by `mode`; the other keys are its fields.
@@ -273,6 +268,7 @@ def _from_plain(kind, value, path: str):
         raise ConfigError(f"{where}: expected an object, got {value!r}")
     hints = typing.get_type_hints(kind)
     keys = {(f.name + "_hex" if hints[f.name] is bytes else f.name): f for f in fields(kind)}
+    key_of = {f.name: key for key, f in keys.items()}
     prefix = f"{path}/" if path else ""
     unknown = [key for key in value if key not in keys]
     if unknown:
@@ -285,8 +281,8 @@ def _from_plain(kind, value, path: str):
             raise ConfigError(f"config field {prefix}{key}: required field is missing")
     try:
         return kind(**args)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    except FieldError as exc:
+        raise ConfigError(f"config field {prefix}{key_of[exc.field]}: {exc}") from exc
 
 
 def scenario_from_dict(raw: dict) -> Scenario:

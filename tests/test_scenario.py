@@ -242,8 +242,8 @@ def test_invalid_config_is_rejected_naming_the_field(tmp_path, capsys, path, val
         del node[last]
     else:
         node[last] = value
-    # the message names the field path: "config field", then its parts in order
-    names_path = "config field.*" + ".*".join(re.escape(part) for part in path.split("/"))
+    # the message names the field path exactly, as the config writes it
+    names_path = f"config field {re.escape(path)}: "
     with pytest.raises(ConfigError, match=names_path):
         scenario_from_dict(cfg)
 
