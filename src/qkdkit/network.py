@@ -29,23 +29,27 @@ class TopologyError(Exception):
     """Malformed topology description."""
 
 
-class UnknownNodeError(Exception):
+class NetworkRequestError(Exception):
+    """A key request between two nodes cannot be served."""
+
+
+class UnknownNodeError(NetworkRequestError):
     pass
 
 
-class NoPathError(Exception):
+class NoPathError(NetworkRequestError):
     pass
 
 
-class BudgetExceededError(Exception):
+class BudgetExceededError(NetworkRequestError):
     pass
 
 
-class UntrustedInteriorError(Exception):
+class UntrustedInteriorError(NetworkRequestError):
     pass
 
 
-class PolicyUnsatisfiableError(Exception):
+class PolicyUnsatisfiableError(NetworkRequestError):
     pass
 
 

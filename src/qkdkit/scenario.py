@@ -54,13 +54,9 @@ from .bits import FieldError, bytes_from_bits, check_field, derive_seed, random_
 from .channel import ChannelParams, EveKind, EveModel
 from .keys import KeyStage
 from .network import (
-    BudgetExceededError,
     HybridPolicy,
+    NetworkRequestError,
     NetworkState,
-    NoPathError,
-    PolicyUnsatisfiableError,
-    UnknownNodeError,
-    UntrustedInteriorError,
     compromise_node,
     hybrid_establish,
     parse_topology,
@@ -95,16 +91,6 @@ from .protocol import (
 
 class ConfigError(Exception):
     """Scenario configuration failed to parse or validate."""
-
-
-# scenario-level network requests fail the run as configuration errors
-NetworkRequestError = (
-    NoPathError,
-    BudgetExceededError,
-    UntrustedInteriorError,
-    PolicyUnsatisfiableError,
-    UnknownNodeError,
-)
 
 
 # Exit-code taxonomy (total over every defined failure mode).

@@ -8,6 +8,7 @@ from qkdkit.bits import random_bits
 from qkdkit.network import (
     BudgetExceededError,
     HybridPolicy,
+    NetworkRequestError,
     NetworkState,
     NetworkTopology,
     NoPathError,
@@ -274,3 +275,10 @@ def test_links_enter_only_through_add_link():
         NetworkTopology(qkd_links={("A", "B"): 1})
     with pytest.raises(TypeError):
         NetworkTopology(pqc_links={("A", "B")})
+
+
+def test_request_failures_share_one_type():
+    # scenario.run_network turns any of them into one configuration error
+    for kind in (UnknownNodeError, NoPathError, BudgetExceededError,
+                 UntrustedInteriorError, PolicyUnsatisfiableError):
+        assert issubclass(kind, NetworkRequestError)
