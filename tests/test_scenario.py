@@ -315,7 +315,8 @@ def test_saturating_noise_forces_decode_failure():
     assert result.status == STATUS_DECODE_FAILURE
 
 
-def test_verification_failure_discards_the_round(monkeypatch):
+def _flip_one_corrected_bit(monkeypatch):
+    """Make reconciliation hand Bob a key one bit off Alice's."""
     import qkdkit.scenario
 
     real_correct_errors = qkdkit.scenario.correct_errors
@@ -327,6 +328,10 @@ def test_verification_failure_discards_the_round(monkeypatch):
         return corrected.with_bits(bits), leak
 
     monkeypatch.setattr(qkdkit.scenario, "correct_errors", correct_errors_flipping_one_bit)
+
+
+def test_verification_failure_discards_the_round(monkeypatch):
+    _flip_one_corrected_bit(monkeypatch)
     result = run_session(scenario_from_dict(base_config()))
     assert result.status == STATUS_DECODE_FAILURE and result.reason == "verification-failed"
     assert result.exit_code == EXIT_DECODE_FAILURE == 3
@@ -334,6 +339,35 @@ def test_verification_failure_discards_the_round(monkeypatch):
     assert row.verified is False and row.keys_equal is False
     assert row.final_length == row.reserve_bits == row.application_bits == 0
     assert not result.final_keys and not result.application_keys
+
+
+_SMALL_ROUNDS = {"n_pulses": 2048, "decoy_probability": 0.1, "strategy": {"mode": "symmetric"}}
+
+
+# (config, flip a corrected bit, status, reason, and the lengths of
+# rounds / final_keys / application_keys / transcripts / messages)
+@pytest.mark.parametrize(
+    "cfg, flip, status, reason, counts",
+    [
+        (base_config(rounds=2), False, STATUS_OK, None, (2, 2, 2, 2, 14)),
+        (base_config(eve={"kind": "intercept_resend", "fraction": 1.0}), False,
+         STATUS_ABORTED, "error-rate-above-threshold", (1, 0, 0, 1, 4)),
+        (base_config(channel={"transmittance": 0.0}), False, STATUS_ABORTED, "empty-sample", (1, 0, 0, 1, 4)),
+        (base_config(channel={"transmittance": 0.9, "misalignment_error": 0.35}, postproc={"threshold": 0.45}),
+         False, STATUS_DECODE_FAILURE, "block 0 failed both BP decoding and parity bisection", (0, 0, 0, 1, 3)),
+        (base_config(rounds=3, protocol=_SMALL_ROUNDS), False,
+         STATUS_POOL_EXHAUSTED, "pool holds 206 bits, 255 requested for mac-tag", (1, 1, 0, 2, 7)),
+        (base_config(), True, STATUS_DECODE_FAILURE, "verification-failed", (1, 0, 0, 1, 6)),
+    ],
+    ids=["ok", "intercept-resend", "empty-sample", "decode-failure", "pool-exhausted", "verification-failed"],
+)
+def test_session_result_on_every_stop_path(monkeypatch, cfg, flip, status, reason, counts):
+    if flip:
+        _flip_one_corrected_bit(monkeypatch)
+    result = run_session(scenario_from_dict(cfg), keep_transcripts=True)
+    assert (result.status, result.reason) == (status, reason)
+    lengths = (result.rounds, result.final_keys, result.application_keys, result.transcripts, result.messages)
+    assert tuple(len(items) for items in lengths) == counts
 
 
 def test_missing_decoy_probability_takes_the_protocol_default():
