@@ -394,17 +394,44 @@ def _hex(bits: np.ndarray) -> str:
 
 
 class _Messenger:
-    """Applies the round's authentication mode to every message and logs it."""
+    """Both parties' pools and one-time-signature contexts: applies the
+    round's authentication mode to every message and logs it."""
 
-    def __init__(self, scenario: Scenario, pools: dict[str, AuthKeyPool], ots: dict[str, OtsContext | None]):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.pools = pools
-        self.ots = ots
+        self.pools = {"alice": AuthKeyPool(), "bob": AuthKeyPool()}
+        self.ots: dict[str, OtsContext | None] = {"alice": None, "bob": None}
         self.mode: AuthMode | None = None
         self.log: list[PublicMessage] = []
+        auth = scenario.auth
+        if auth.mode == "preshared_pool":
+            rng = np.random.default_rng(derive_seed(scenario.master_seed, "preshared-pool"))
+            shared = random_bits(auth.preshared_pool_bits, rng)
+            self.refill(shared, shared)
+            return
+        for party in self.ots:
+            rng = np.random.default_rng(derive_seed(scenario.master_seed, "ots", party))
+            self.ots[party] = OtsContext.generate(
+                auth.ots_keypairs,
+                rng,
+                auth.ots_security_bits,
+                auth.ots_digest_bits,
+                scheme=auth.ots_scheme,
+            )
+        # Public halves cross over through the export/import wire format.
+        for party, peer in (("alice", "bob"), ("bob", "alice")):
+            self.ots[party].peer_publics = [
+                import_ots_public(export_ots_public(kp)) for kp in self.ots[peer].keypairs
+            ]
 
-    def set_mode(self, mode: AuthMode) -> None:
-        self.mode = mode
+    def open_round(self, round_no: int) -> AuthMode:
+        """Pick and keep the mode that authenticates this round's messages."""
+        self.mode = bootstrap_round_auth(round_no, self.pools["alice"], self.ots["alice"])
+        return self.mode
+
+    def refill(self, alice_bits: np.ndarray, bob_bits: np.ndarray) -> None:
+        self.pools["alice"].refill(alice_bits)
+        self.pools["bob"].refill(bob_bits)
 
     def send(self, round_no: int, sender: str, label: str, fields: dict, disclosed: dict[str, int] | None = None) -> None:
         payload = _encode_payload(fields)
@@ -442,96 +469,35 @@ class _Messenger:
         )
 
 
-def _setup_auth(scenario: Scenario) -> tuple[dict[str, AuthKeyPool], dict[str, OtsContext | None]]:
-    pools = {"alice": AuthKeyPool(), "bob": AuthKeyPool()}
-    if scenario.auth.mode == "preshared_pool":
-        rng = np.random.default_rng(derive_seed(scenario.master_seed, "preshared-pool"))
-        shared = random_bits(scenario.auth.preshared_pool_bits, rng)
-        pools["alice"].refill(shared)
-        pools["bob"].refill(shared.copy())
-        return pools, {"alice": None, "bob": None}
-
-    contexts = {}
-    for party in ("alice", "bob"):
-        rng = np.random.default_rng(derive_seed(scenario.master_seed, "ots", party))
-        contexts[party] = OtsContext.generate(
-            scenario.auth.ots_keypairs,
-            rng,
-            scenario.auth.ots_security_bits,
-            scenario.auth.ots_digest_bits,
-            scheme=scenario.auth.ots_scheme,
-        )
-    # Public halves cross over through the export/import wire format.
-    for party, peer in (("alice", "bob"), ("bob", "alice")):
-        contexts[party].peer_publics = [
-            import_ots_public(export_ots_public(kp)) for kp in contexts[peer].keypairs
-        ]
-    return pools, contexts
-
-
 def run_session(scenario: Scenario, keep_transcripts: bool = False) -> SessionResult:
     """Run all configured rounds of the authenticated protocol."""
-    pools, ots_contexts = _setup_auth(scenario)
-    messenger = _Messenger(scenario, pools, ots_contexts)
-    rounds: list[RoundReport] = []
-    application_keys: list[np.ndarray] = []
-    final_keys: list[tuple[np.ndarray, np.ndarray]] = []
-    transcripts: list[Transcript] = []
-    status, reason = STATUS_OK, None
-
+    messenger = _Messenger(scenario)
+    result = SessionResult(scenario, STATUS_OK, None, [], messenger.log, [], [], [])
     for round_no in range(1, scenario.rounds + 1):
         try:
-            report, finals, app_bits = _run_round(
-                scenario, round_no, pools, ots_contexts, messenger,
-                transcripts if keep_transcripts else None,
-            )
+            stop = _run_round(scenario, round_no, messenger, result, keep_transcripts)
         except (PoolExhaustedError, CannotAuthenticateError) as exc:
-            status, reason = STATUS_POOL_EXHAUSTED, str(exc)
-            break
+            stop = STATUS_POOL_EXHAUSTED, str(exc)
         except DecodeFailureError as exc:
-            status, reason = STATUS_DECODE_FAILURE, str(exc)
+            stop = STATUS_DECODE_FAILURE, str(exc)
+        if stop is not None:
+            result.status, result.reason = stop
             break
-        rounds.append(report)
-        if finals is not None:
-            final_keys.append(finals)
-        if report.decision == Decision.ABORT.value:
-            status, reason = STATUS_ABORTED, report.reason
-            break
-        if report.verified is False:
-            status, reason = STATUS_DECODE_FAILURE, "verification-failed"
-            break
-        if app_bits is not None and app_bits.size:
-            application_keys.append(app_bits)
-
-    return SessionResult(
-        scenario=scenario,
-        status=status,
-        reason=reason,
-        rounds=rounds,
-        messages=messenger.log,
-        application_keys=application_keys,
-        final_keys=final_keys,
-        transcripts=transcripts,
-    )
+    return result
 
 
 def _run_round(
-    scenario: Scenario,
-    round_no: int,
-    pools: dict[str, AuthKeyPool],
-    ots_contexts: dict[str, OtsContext | None],
-    messenger: _Messenger,
-    transcripts: list | None,
-) -> tuple[RoundReport, Optional[tuple[np.ndarray, np.ndarray]], Optional[np.ndarray]]:
+    scenario: Scenario, round_no: int, messenger: _Messenger, result: SessionResult, keep_transcript: bool
+) -> Optional[tuple[str, str]]:
+    """Record one round into `result`; return (status, reason) if it stops the
+    session. A round that raises records only its transcript."""
     pp = scenario.postproc
-
-    mode = bootstrap_round_auth(round_no, pools["alice"], ots_contexts["alice"])
-    messenger.set_mode(mode)
+    mode = messenger.open_round(round_no)
 
     seeds = SessionSeeds.from_master(derive_seed(scenario.master_seed, "round", round_no))
     transcript = run_quantum_phase(scenario.protocol, scenario.channel, scenario.eve, seeds)
-    if transcripts is not None:
-        transcripts.append(transcript)
+    if keep_transcript:
+        result.transcripts.append(transcript)
 
     sifted_a, sifted_b, x_sample, bundle, sifting_disclosed = announce_and_sift(transcript)
     n_detected = int(bundle.detected_indices.size)
@@ -588,7 +554,8 @@ def _run_round(
             "estimation",
             {"decision": est.decision.value, "reason": est.reason or ""},
         )
-        return report, None, None
+        result.rounds.append(report)
+        return STATUS_ABORTED, est.reason
 
     reconcile = ReconcileParams(
         est_qber=est.e_x if est.e_x is not None else 0.0,
@@ -626,7 +593,8 @@ def _run_round(
 
     if not verified:
         report.keys_equal = bool(np.array_equal(sifted_a.bits, corrected_b.bits))
-        return report, None, None
+        result.rounds.append(report)
+        return STATUS_DECODE_FAILURE, "verification-failed"
 
     verified_a = sifted_a.advanced(KeyStage.VERIFIED)
     verified_b = corrected_b.advanced(KeyStage.VERIFIED)
@@ -648,17 +616,19 @@ def _run_round(
     try:
         reserve_a, app_bits = grow_keys(final_a, scenario.auth.reserve_bits)
         reserve_b, _app_b = grow_keys(final_b, scenario.auth.reserve_bits)
-        pools["alice"].refill(reserve_a)
-        pools["bob"].refill(reserve_b)
+        messenger.refill(reserve_a, reserve_b)
         report.reserve_bits = scenario.auth.reserve_bits
         report.sustainable = True
     except InsufficientKeyError:
         # keep authenticating as long as possible: everything to the pool
         report.reserve_bits = final_a.length
-        pools["alice"].refill(final_a.consume())
-        pools["bob"].refill(final_b.consume())
+        messenger.refill(final_a.consume(), final_b.consume())
     report.application_bits = int(app_bits.size)
-    return report, (final_a.bits, final_b.bits), app_bits
+    result.rounds.append(report)
+    result.final_keys.append((final_a.bits, final_b.bits))
+    if app_bits.size:
+        result.application_keys.append(app_bits)
+    return None
 
 
 def run_network(scenario: Scenario, config_dir: Path) -> list[dict]:
