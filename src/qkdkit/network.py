@@ -307,11 +307,7 @@ class NetworkState:
         return self._next_key_id
 
     def _draw_link_key(self, edge: tuple[str, str], key_len: int) -> np.ndarray:
-        if self.remaining_budget.get(edge, 0) < key_len:
-            raise BudgetExceededError(
-                f"link {edge[0]}-{edge[1]} has {self.remaining_budget.get(edge, 0)} bits left, "
-                f"{key_len} needed"
-            )
+        # the caller has checked every edge's budget before the first draw
         draw = self._link_draws.get(edge, 0)
         self._link_draws[edge] = draw + 1
         rng = np.random.default_rng(derive_seed(self.master_seed, "link", edge[0], edge[1], draw))
@@ -411,6 +407,9 @@ def hybrid_establish(
         return establish_path_key(state, src, dst, key_len)
     if policy is HybridPolicy.PQC_ONLY:
         return establish_pqc_key(state, src, dst, key_len)
+    # Check the PQC route first, so a refused request charges no link budget.
+    if not pqc_route_exists(state.topology, src, dst):
+        raise PolicyUnsatisfiableError(f"no pqc route from {src} to {dst}")
     qkd_part = establish_path_key(state, src, dst, key_len)
     pqc_part = establish_pqc_key(state, src, dst, key_len)
     record = KeyRecord(

@@ -170,6 +170,17 @@ def test_qkd_only_on_disconnected_graph_errors():
         )
 
 
+def test_failed_hybrid_request_leaves_no_state_behind():
+    # a QKD path exists but no PQC route: nothing may be charged, stored or exposed
+    topo = parse_topology("node A end_user\nnode B end_user\nlink A B qkd 100")
+    state = NetworkState(topo, master_seed=70)
+    with pytest.raises(PolicyUnsatisfiableError):
+        hybrid_establish(state, "A", "B", HybridPolicy.HYBRID_XOR, 64)
+    assert state.remaining_budget[("A", "B")] == 100
+    assert state.keystore == {}
+    assert compromise_node(state, "A") == set()
+
+
 def test_compromise_of_uninvolved_leaf():
     topo = parse_topology(LINE_TOPOLOGY + "node C end_user\nlink C R1 qkd 512\n")
     state = NetworkState(topo, master_seed=64)
