@@ -46,12 +46,9 @@ class KeyMaterial:
             raise ValueError(f"stage may only move forward ({self.stage.name} -> {stage.name})")
         return KeyMaterial(bits=self.bits.copy(), stage=stage)
 
-    def with_bits(self, bits: np.ndarray, stage: KeyStage | None = None) -> "KeyMaterial":
-        """Return new material at the same or a later stage with replaced bits."""
-        target = self.stage if stage is None else stage
-        if target < self.stage:
-            raise ValueError("stage may not move backward")
-        return KeyMaterial(bits=bits, stage=KeyStage(target))
+    def with_bits(self, bits: np.ndarray) -> "KeyMaterial":
+        """Return new material at the same stage with replaced bits."""
+        return KeyMaterial(bits=bits, stage=self.stage)
 
     def consume(self) -> np.ndarray:
         """Spend the key: returns its bits once, errors on any later attempt."""
