@@ -307,14 +307,6 @@ def test_underfunded_growth_exhausts_the_pool():
     assert result.rounds and not result.rounds[-1].sustainable
 
 
-def test_saturating_noise_forces_decode_failure():
-    cfg = base_config()
-    cfg["channel"] = {"transmittance": 0.9, "misalignment_error": 0.35}
-    cfg["postproc"] = {"threshold": 0.45}
-    result = run_session(scenario_from_dict(cfg))
-    assert result.status == STATUS_DECODE_FAILURE
-
-
 def _flip_one_corrected_bit(monkeypatch):
     """Make reconciliation hand Bob a key one bit off Alice's."""
     import qkdkit.scenario
