@@ -14,7 +14,8 @@ one-time MAC afterwards) and logged with the number of key-relevant bits
 it disclosed, so the disclosure counts in each round's report row can be
 audited off the message log.
 The reconciliation exchange is batched into a single authenticated
-message whose payload carries all disclosed syndrome and parity bits.
+message whose payload carries the number of disclosed syndrome and parity
+bits, the block length and the code rate, not the bits themselves.
 """
 from __future__ import annotations
 
