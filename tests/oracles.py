@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the library's own fast paths: matrices
 are materialized entry by entry, Toeplitz products are direct convolutions,
-field products are bit-serial, error rates come from exact branch
-enumeration, the quantum phase is simulated one pulse at a time, and key
-exposure is re-derived by replaying stored material against public
-transcripts.
+field products are bit-serial, belief propagation scatters its messages
+with `np.add.at` over a row-major message array, error rates come from
+exact branch enumeration, the quantum phase is simulated one pulse at a
+time, and key exposure is re-derived by replaying stored material against
+public transcripts.
 """
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,8 +18,10 @@ from typing import Optional
 import numpy as np
 
 from qkdkit.auth import _GF_MODULI, _blocks
+from qkdkit.bits import as_bits
 from qkdkit.channel import Basis, ChannelParams, EveKind, EveModel, IntensityClass
 from qkdkit.network import NetworkState, NetworkTopology, NodeRole, Provenance
+from qkdkit.postproc.reconcile import LdpcCode
 
 ALL_STATES = [(bit, basis) for bit in (0, 1) for basis in (Basis.Z, Basis.X)]
 
@@ -146,6 +150,60 @@ def poly_compress_reference(message: bytes, alpha: int, word_bits: int) -> int:
         acc = gf_mul(acc, alpha, word_bits) ^ block
     return acc
 
+
+def decode_syndrome_reference(
+    code: LdpcCode,
+    syndrome: np.ndarray,
+    qber: float,
+    max_iterations: int = 60,
+    scale: float = 0.8,
+) -> tuple[np.ndarray, bool]:
+    """Estimate the error pattern with the given syndrome via min-sum BP.
+
+    Returns (error_vector, converged). The all-zero syndrome short-circuits
+    to the all-zero pattern, which keeps clean-channel sessions cheap.
+    """
+    s = as_bits(syndrome)
+    if s.size != code.m:
+        raise ValueError(f"syndrome length {s.size} != check count {code.m}")
+    if not np.any(s):
+        return np.zeros(code.n, dtype=np.uint8), True
+
+    p = min(max(qber, 1e-3), 0.3)
+    llr0 = math.log((1.0 - p) / p)
+    rows = code.padded_rows
+    pad = code._pad_mask
+    m, wmax = rows.shape
+    row_idx = np.arange(m)
+    col_grid = np.broadcast_to(np.arange(wmax), (m, wmax))
+    syn_sign = (1.0 - 2.0 * s).astype(np.float64)
+
+    edge_msgs = np.zeros((m, wmax), dtype=np.float64)
+    # posterior LLR per variable (plus the padding slot); carried from the
+    # end of one iteration to the start of the next
+    totals = np.full(code.n + 1, llr0, dtype=np.float64)
+    e_hat = np.zeros(code.n, dtype=np.uint8)
+    for _ in range(max_iterations):
+        var_msgs = totals[rows] - edge_msgs
+        var_msgs[pad] = np.inf
+
+        signs = np.where(var_msgs < 0.0, -1.0, 1.0)
+        row_sign = signs.prod(axis=1) * syn_sign
+        mags = np.abs(var_msgs)
+        argmin1 = mags.argmin(axis=1)
+        min1 = mags[row_idx, argmin1]
+        mags[row_idx, argmin1] = np.inf
+        min2 = mags.min(axis=1)
+        extr_mag = np.where(col_grid == argmin1[:, None], min2[:, None], min1[:, None])
+        edge_msgs = scale * row_sign[:, None] * signs * extr_mag
+        edge_msgs[pad] = 0.0
+
+        totals = np.full(code.n + 1, llr0, dtype=np.float64)
+        np.add.at(totals, rows, edge_msgs)
+        e_hat = (totals[: code.n] < 0.0).astype(np.uint8)
+        if np.array_equal(code.syndrome(e_hat), s):
+            return e_hat, True
+    return e_hat, False
 
 def replay_exposed(state: NetworkState, node: str) -> set[int]:
     """Reconstruct every key the node's material reaches, bit for bit."""

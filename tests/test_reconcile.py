@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import decode_syndrome_reference
 
 from qkdkit.keys import KeyMaterial, KeyStage
 from qkdkit.postproc.reconcile import (
@@ -153,6 +154,20 @@ def test_decode_syndrome_golden(name):
             converged += ok
     assert (digest.hexdigest(), converged) == DECODE_GOLDEN[name]
 
+
+@pytest.mark.parametrize("name", sorted(available_codes()))
+def test_decode_syndrome_matches_reference(name):
+    # same e_hat and converged flag as the add.at decoder, from the first
+    # iteration's posterior to a full run, on converging and failing cases
+    code = load_code(name)
+    rng = np.random.default_rng(int.from_bytes(name.encode(), "big") % 2**31)
+    for qber in (0.003, 0.01, 0.03, 0.06, 0.1, 0.2, 0.3):
+        errors = (rng.random(code.n) < qber).astype(np.uint8)
+        syndrome = code.syndrome(errors)
+        for iterations in (1, 5, 60):
+            e_hat, ok = decode_syndrome(code, syndrome, qber, iterations)
+            ref_hat, ref_ok = decode_syndrome_reference(code, syndrome, qber, iterations)
+            assert ok == ref_ok and np.array_equal(e_hat, ref_hat), (qber, iterations)
 
 def test_fallback_rescues_decoder_failures():
     rng = np.random.default_rng(35)
