@@ -39,6 +39,8 @@ _RATE_RULES = {
     "r050": lambda n: n // 2,
     "r075": lambda n: n // 4,
     "r090": lambda n: max(1, round(n / 10)),
+    "r065": lambda n: round(n * 0.35),
+    "r060": lambda n: round(n * 0.4),
 }
 _BLOCK_SIZES = (256, 1024, 4096)
 _GEN_SEED = 20240811

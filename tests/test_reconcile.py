@@ -132,10 +132,16 @@ DECODE_GOLDEN = {
     "r050_n256": ("ba65efcce24596e3eacfc32af6f38088606fe21831d520bdf1685b65ffc4eaed", 8),
     "r075_n256": ("a1e5140bd246b34832086d27a3bf1a6e351990423e6d5722336ba51f419a8ee2", 5),
     "r090_n256": ("464ef44e48d06a78d055a4caf482e8d57bd8031a26576f5665b1dac569e4e014", 3),
+    "r065_n256": ("d419be14c1efaaeb6ac5a00a49286e12ce0969ce3bc381c84b3bf53a242960b4", 6),
+    "r060_n256": ("6accbbbb8075f7dc9e9e455579cca6a9edc3eea3d10ceb6a1c4eeb6dc9cdc302", 7),
     "r050_n1024": ("11d17d83f58ac2eb290816373b8783a4f676c39354520293f6af909b56e63884", 7),
     "r075_n1024": ("742b245476d33227f8fda6b52910d7ce77ef5907c39179e288df129e701c5fbf", 4),
     "r090_n1024": ("d8afaf3a8d08603d5c330f454cf0a468d13b3380578c30db38d9ee152e27385c", 2),
+    "r065_n1024": ("b74b570465b9cb39a41c010e4fc2bb44b9779eb8f4d1551c7046ea2cf81d6721", 5),
+    "r060_n1024": ("a617684ee83d819022f4057915a3d2aeccfcea0a4991700992c3a153208e7792", 6),
     "r050_n4096": ("809b0102d8b050093f47dc3fcd5ef33214582f70d5eb632544494dea362af398", 7),
+    "r065_n4096": ("64a5731d7844c86d7224320381b74ea0284534746b4c1853f72e63c0dbf70780", 5),
+    "r060_n4096": ("0504d4da40362206f0ee35b1adf928475eeb3481b49aa451f69806a1cadbae2b", 7),
 }
 
 

@@ -198,7 +198,7 @@ REJECTED_CONFIGS = [
         ("eve/kind", "active"), ("eve/fraction", 1.5),
         ("postproc/threshold", 0), ("postproc/threshold", 0.5),
         ("postproc/verify_tag_bits", 0), ("postproc/security_margin", -1),
-        ("postproc/ldpc_block_len", 512), ("postproc/code_rate", "r060"),
+        ("postproc/ldpc_block_len", 512), ("postproc/code_rate", "r099"),
         ("auth/mode", "none"), ("auth/reserve_bits", -1), ("auth/preshared_pool_bits", -1),
         ("auth/ots_keypairs", 0), ("auth/ots_security_bits", 4), ("auth/ots_security_bits", 264),
         ("auth/ots_digest_bits", 0), ("auth/ots_digest_bits", 257), ("auth/ots_scheme", "xmss"),
