@@ -88,7 +88,20 @@ class LdpcCode:
         for i, r in enumerate(rows):
             padded[i, : len(r)] = r
         self.padded_rows = padded
-        self._pad_mask = padded == n
+        # The decoder's layout: edge slot k of every check is row k, so a
+        # check's reductions are element-wise operations along axis 0.
+        self.edge_vars = np.ascontiguousarray(padded.T, dtype=np.intp)
+        # var_edges[j, v] is the flat position in edge_vars of variable v's
+        # j-th edge, counting checks in ascending order; edge_vars.size (a
+        # zero slot) where v has fewer edges than the heaviest column.
+        pos = np.arange(padded.size).reshape(wmax, self.m).T.ravel()
+        var = padded.ravel()
+        var, pos = var[var < n], pos[var < n]
+        order = np.argsort(var, kind="stable")
+        degree = np.bincount(var, minlength=n)
+        rank = np.arange(var.size) - (np.cumsum(degree) - degree)[var[order]]
+        self.var_edges = np.full((degree.max(initial=0), n), padded.size, dtype=np.intp)
+        self.var_edges[rank, var[order]] = pos[order]
 
     def syndrome(self, x: np.ndarray) -> np.ndarray:
         """H @ x over GF(2); x must have length n."""
@@ -240,6 +253,10 @@ def decode_syndrome(
 
     Returns (error_vector, converged). The all-zero syndrome short-circuits
     to the all-zero pattern, which keeps clean-channel sessions cheap.
+
+    Every message is the same float as in a row-major decoder that scatters
+    the posterior with `np.add.at`: each variable's posterior adds its
+    edges in ascending check order, starting from the channel LLR.
     """
     s = as_bits(syndrome)
     if s.size != code.m:
@@ -249,37 +266,47 @@ def decode_syndrome(
 
     p = min(max(qber, 1e-3), 0.3)
     llr0 = math.log((1.0 - p) / p)
-    rows = code.padded_rows
-    pad = code._pad_mask
-    m, wmax = rows.shape
-    row_idx = np.arange(m)
-    col_grid = np.broadcast_to(np.arange(wmax), (m, wmax))
-    syn_sign = (1.0 - 2.0 * s).astype(np.float64)
+    edge_vars, var_edges = code.edge_vars, code.var_edges
+    wmax, m = edge_vars.shape
+    syn = s.astype(bool)
 
-    edge_msgs = np.zeros((m, wmax), dtype=np.float64)
-    # posterior LLR per variable (plus the padding slot); carried from the
-    # end of one iteration to the start of the next
+    # check-to-variable messages, followed by the zero slot of var_edges
+    flat = np.zeros(edge_vars.size + 1, dtype=np.float64)
+    msgs = flat[:-1].reshape(wmax, m)
+    # posterior LLR per variable; the padding slot's +inf keeps every
+    # padded variable message at +inf, which never wins a minimum or flips
+    # a sign. No message is -0.0 (the sum starts at llr0 > 0), so a sign
+    # bit is the same test as `< 0.0`.
     totals = np.full(code.n + 1, llr0, dtype=np.float64)
+    totals[code.n] = np.inf
+    # running minima of the magnitudes from the top and from the bottom,
+    # each behind one +inf row
+    head = np.full((wmax + 1, m), np.inf)
+    tail = np.full((wmax + 1, m), np.inf)
+    var_msgs = totals[edge_vars]
     e_hat = np.zeros(code.n, dtype=np.uint8)
     for _ in range(max_iterations):
-        var_msgs = totals[rows] - edge_msgs
-        var_msgs[pad] = np.inf
-
-        signs = np.where(var_msgs < 0.0, -1.0, 1.0)
-        row_sign = signs.prod(axis=1) * syn_sign
+        var_msgs -= msgs
+        # checks whose outgoing messages flip sign: odd parity of negative
+        # inputs against the syndrome bit
+        flip = np.logical_xor.reduce(var_msgs < 0.0, axis=0) ^ syn
         mags = np.abs(var_msgs)
-        argmin1 = mags.argmin(axis=1)
-        min1 = mags[row_idx, argmin1]
-        mags[row_idx, argmin1] = np.inf
-        min2 = mags.min(axis=1)
-        extr_mag = np.where(col_grid == argmin1[:, None], min2[:, None], min1[:, None])
-        edge_msgs = scale * row_sign[:, None] * signs * extr_mag
-        edge_msgs[pad] = 0.0
+        # each edge gets the smallest magnitude among its check's other edges
+        for k in range(wmax):
+            np.minimum(head[k], mags[k], out=head[k + 1])
+            np.minimum(tail[k], mags[wmax - 1 - k], out=tail[k + 1])
+        np.minimum(head[:-1], tail[-2::-1], out=msgs)
+        np.copysign(msgs, var_msgs, out=msgs)
+        msgs *= np.where(flip, -scale, scale)
 
-        totals = np.full(code.n + 1, llr0, dtype=np.float64)
-        np.add.at(totals, rows, edge_msgs)
-        e_hat = (totals[: code.n] < 0.0).astype(np.uint8)
-        if np.array_equal(code.syndrome(e_hat), s):
+        post = flat[var_edges[0]] + llr0
+        for edges in var_edges[1:]:
+            post += flat[edges]
+        totals[: code.n] = post
+        e_hat = (post < 0.0).view(np.uint8)
+        # the next iteration's input; its signs are this hard decision
+        var_msgs = totals[edge_vars]
+        if np.array_equal(np.logical_xor.reduce(var_msgs < 0.0, axis=0), syn):
             return e_hat, True
     return e_hat, False
 

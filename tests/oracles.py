@@ -172,7 +172,7 @@ def decode_syndrome_reference(
     p = min(max(qber, 1e-3), 0.3)
     llr0 = math.log((1.0 - p) / p)
     rows = code.padded_rows
-    pad = code._pad_mask
+    pad = rows == code.n
     m, wmax = rows.shape
     row_idx = np.arange(m)
     col_grid = np.broadcast_to(np.arange(wmax), (m, wmax))
