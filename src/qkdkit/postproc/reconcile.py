@@ -8,6 +8,10 @@ deterministic interactive parity-bisection exchange before the session
 gives up. `correct_errors` returns the count of every bit it disclosed
 (syndromes and parities), which the final-length computation charges.
 
+The code rate follows the estimated QBER: 0.9, 0.75, 0.65, 0.6 or 0.5,
+each below a ceiling and from a smallest block size (`_RATE_CEILINGS`),
+so a block discloses little more than its errors need.
+
 Parity-check matrices are versioned data files generated once with fixed
 seeds; see `make_parity_check` for the construction.
 """
@@ -46,12 +50,19 @@ _BLOCK_SIZES = (256, 1024, 4096)
 _GEN_SEED = 20240811
 _COL_WEIGHT = 3
 
-# Estimated-QBER ceilings for each code rate, with decoder inefficiency
-# already budgeted: min-sum needs m/n >= ~1.2 * h(qber).
+# (label, estimated-QBER ceiling, smallest block size it is chosen at),
+# tried in order. The r065 and r060 ceilings are measured with
+# tests/calibrate_rates.py: the highest 0.1% step at which every one of
+# 2000 seeded decodes at n = 4096 returned the true error pattern. At those
+# ceilings min-sum needs m/n of about 1.6-1.7 h(qber). At n = 1024 both
+# fail well below their n = 4096 ceilings, and r090 at n = 256 has too
+# little distance to trust.
 _RATE_CEILINGS = (
-    ("r090", 0.003),
-    ("r075", 0.015),
-    ("r050", 1.0),
+    ("r090", 0.003, 1024),
+    ("r075", 0.015, 256),
+    ("r065", 0.034, 4096),
+    ("r060", 0.039, 4096),
+    ("r050", 1.0, 256),
 )
 
 
@@ -379,11 +390,15 @@ def _pick_block_len(key_len: int) -> int:
     return _BLOCK_SIZES[0]
 
 
-def _pick_rate(est_qber: float) -> str:
-    for label, ceiling in _RATE_CEILINGS:
-        if est_qber < ceiling:
-            return label
-    return "r050"
+def choose_code(params: ReconcileParams, key_len: int) -> str:
+    """Name of the code `correct_errors` uses for a key of `key_len` bits."""
+    block_len = params.block_len or _pick_block_len(key_len)
+    if params.rate_label != "auto":
+        return code_name(params.rate_label, block_len)
+    for label, ceiling, min_block in _RATE_CEILINGS:
+        if params.est_qber < ceiling and block_len >= min_block:
+            return code_name(label, block_len)
+    return code_name("r050", block_len)
 
 
 def correct_errors(
@@ -405,14 +420,8 @@ def correct_errors(
     if reference.length == 0:
         return noisy.with_bits(noisy.bits.copy()), 0
 
-    block_len = params.block_len or _pick_block_len(reference.length)
-    rate = params.rate_label
-    if rate == "auto":
-        rate = _pick_rate(params.est_qber)
-        if rate == "r090" and block_len < 1024:
-            # the rate-0.9 code at n=256 has too little distance to trust
-            rate = "r075"
-    code = load_code(code_name(rate, block_len))
+    code = load_code(choose_code(params, reference.length))
+    block_len = code.n
 
     corrected = np.empty(reference.length, dtype=np.uint8)
     leak = 0

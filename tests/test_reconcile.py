@@ -6,10 +6,12 @@ from oracles import decode_syndrome_reference
 
 from qkdkit.keys import KeyMaterial, KeyStage
 from qkdkit.postproc.reconcile import (
+    _RATE_CEILINGS,
     DecodeFailureError,
     LengthMismatchError,
     ReconcileParams,
     available_codes,
+    choose_code,
     code_name,
     correct_errors,
     decode_syndrome,
@@ -90,6 +92,45 @@ def test_design_rate_blocks_reconcile_reliably():
         corrected, _ = correct_errors(*keypair(bits, noisy_bits), params)
         successes += np.array_equal(corrected.bits, bits)
     assert successes == 20
+
+
+@pytest.mark.parametrize("label", ["r065", "r060"])
+def test_calibrated_rates_decode_by_bp_at_their_ceiling(label):
+    # criterion 4's check at the rate's QBER ceiling: every block comes out
+    # exact and discloses only its syndrome, so parity bisection never ran
+    ceiling = next(c for name, c, _ in _RATE_CEILINGS if name == label)
+    params = ReconcileParams(est_qber=ceiling, block_len=4096, rate_label=label)
+    m = load_code(code_name(label, 4096)).m
+    rng = np.random.default_rng(39)
+    for _ in range(100):
+        bits = rng.integers(0, 2, 4096, dtype=np.uint8)
+        noisy_bits = bits ^ (rng.random(4096) < ceiling).astype(np.uint8)
+        corrected, leak = correct_errors(*keypair(bits, noisy_bits), params)
+        assert np.array_equal(corrected.bits, bits) and leak == m
+
+
+# (params, key length) -> code, on both sides of every QBER ceiling and of
+# every rate's smallest block size
+@pytest.mark.parametrize("params, key_len, name", [
+    (dict(est_qber=0.0), 1023, "r075_n256"),
+    (dict(est_qber=0.0), 1024, "r090_n1024"),
+    (dict(est_qber=0.0029), 4096, "r090_n4096"),
+    (dict(est_qber=0.003), 4096, "r075_n4096"),
+    (dict(est_qber=0.0149), 256, "r075_n256"),
+    (dict(est_qber=0.015), 256, "r050_n256"),
+    (dict(est_qber=0.015), 4095, "r050_n1024"),
+    (dict(est_qber=0.015), 4096, "r065_n4096"),
+    (dict(est_qber=0.0339), 20_000, "r065_n4096"),
+    (dict(est_qber=0.034), 4095, "r050_n1024"),
+    (dict(est_qber=0.034), 20_000, "r060_n4096"),
+    (dict(est_qber=0.0389), 4096, "r060_n4096"),
+    (dict(est_qber=0.039), 4096, "r050_n4096"),
+    (dict(est_qber=1.0), 4096, "r050_n4096"),
+    (dict(est_qber=0.03, block_len=1024), 20_000, "r050_n1024"),
+    (dict(est_qber=0.03, rate_label="r090"), 300, "r090_n256"),
+])
+def test_code_choice(params, key_len, name):
+    assert choose_code(ReconcileParams(**params), key_len) == name
 
 
 def test_padding_and_multiple_chunks():
