@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .auth import AuthKeyPool, wc_tag, wc_verify
-from .bits import bits_from_bytes, bytes_from_bits, derive_seed, random_bits, xor_bits
+from .bits import bits_from_bytes, derive_seed, random_bits, xor_bits
 from .keys import KeyMaterial, KeyReuseError, KeyStage
 
 
@@ -51,10 +50,6 @@ class UntrustedInteriorError(NetworkRequestError):
 
 class PolicyUnsatisfiableError(NetworkRequestError):
     pass
-
-
-class RelayAuthError(Exception):
-    """A MAC-protected hop message failed verification."""
 
 
 class NodeRole(enum.Enum):
@@ -283,8 +278,6 @@ class NetworkState:
         topology: NetworkTopology,
         master_seed: int = 0,
         pqc: PqcDouble | None = None,
-        link_pools: dict[tuple[str, str], tuple[AuthKeyPool, AuthKeyPool]] | None = None,
-        mac_tag_bits: int = 64,
     ):
         self.topology = topology
         self.master_seed = master_seed
@@ -299,8 +292,6 @@ class NetworkState:
         self._pqc_counter = 0
         self._link_draws: dict[tuple[str, str], int] = {}
         self._end_key_rng = np.random.default_rng(derive_seed(master_seed, "relay-end-keys"))
-        self.link_pools = link_pools or {}
-        self.mac_tag_bits = mac_tag_bits
 
     def _new_key_id(self) -> int:
         self._next_key_id += 1
@@ -313,17 +304,6 @@ class NetworkState:
         rng = np.random.default_rng(derive_seed(self.master_seed, "link", edge[0], edge[1], draw))
         self.remaining_budget[edge] -= key_len
         return random_bits(key_len, rng)
-
-    def _authenticate_hop(self, edge: tuple[str, str], payload: np.ndarray) -> None:
-        # Hop messages are MAC-tagged when the link has an auth pool configured.
-        pools = self.link_pools.get(edge)
-        if pools is None:
-            return
-        sender_pool, receiver_pool = pools
-        tag = wc_tag(bytes_from_bits(payload), sender_pool, tag_bits=self.mac_tag_bits)
-        result = wc_verify(bytes_from_bits(payload), tag, receiver_pool)
-        if not result.accepted:
-            raise RelayAuthError(f"hop {edge[0]}-{edge[1]} failed authentication: {result.reason}")
 
 
 def establish_path_key(state: NetworkState, src: str, dst: str, key_len: int) -> KeyRecord:
@@ -366,7 +346,6 @@ def establish_path_key(state: NetworkState, src: str, dst: str, key_len: int) ->
         for edge in edges:
             link_key = state._draw_link_key(edge, key_len)
             ciphertext = xor_bits(end_key, link_key)
-            state._authenticate_hop(edge, ciphertext)
             record.hops.append(HopRecord(link=edge, ciphertext=ciphertext))
             for endpoint in edge:
                 state.node_material[endpoint].append((record.key_id, edge, link_key))

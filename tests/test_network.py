@@ -3,8 +3,6 @@ import pytest
 from scipy.stats import binomtest
 
 from oracles import random_topology, replay_exposed
-from qkdkit.auth import AuthKeyPool
-from qkdkit.bits import random_bits
 from qkdkit.network import (
     BudgetExceededError,
     HybridPolicy,
@@ -265,20 +263,6 @@ def test_established_keys_are_one_time():
     assert material.stage is KeyStage.FINAL and material.length == 64
     with pytest.raises(KeyReuseError):
         record.take()
-
-
-def test_link_pools_authenticate_hops():
-    topo = parse_topology(LINE_TOPOLOGY)
-    pools = {}
-    rng = np.random.default_rng(68)
-    for edge in topo.qkd_links:
-        shared = random_bits(4096, rng)
-        pools[edge] = (AuthKeyPool(shared.copy()), AuthKeyPool(shared.copy()))
-    state = NetworkState(topo, master_seed=69, link_pools=pools)
-    establish_path_key(state, "A", "B", 64)
-    for edge in [("A", "R1"), ("R1", "R2"), ("B", "R2")]:
-        sender_pool, receiver_pool = pools[edge]
-        assert sender_pool.consumption_log and receiver_pool.consumption_log
 
 
 def test_links_enter_only_through_add_link():
