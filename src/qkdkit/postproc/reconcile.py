@@ -53,10 +53,10 @@ _COL_WEIGHT = 3
 # (label, estimated-QBER ceiling, smallest block size it is chosen at),
 # tried in order. The r065 and r060 ceilings are measured with
 # tests/calibrate_rates.py: the highest 0.1% step at which every one of
-# 2000 seeded decodes at n = 4096 returned the true error pattern. At those
-# ceilings min-sum needs m/n of about 1.6-1.7 h(qber). At n = 1024 both
-# fail well below their n = 4096 ceilings, and r090 at n = 256 has too
-# little distance to trust.
+# 2000 seeded decodes at n = 4096 returned the true error pattern: min-sum
+# needs m/n of about 1.6-1.7 h(qber) there. At n = 1024 both fail well
+# below those ceilings. The r090 and r075 ceilings are older budgets, and
+# r090 at n = 256 has too little distance to trust.
 _RATE_CEILINGS = (
     ("r090", 0.003, 1024),
     ("r075", 0.015, 256),
@@ -253,6 +253,16 @@ def generate_code(rate_label: str, n: int) -> tuple[str, list[np.ndarray]]:
     return format_code_file(name, n, rows, _COL_WEIGHT, seed), rows
 
 
+def _posterior(flat: np.ndarray, var_edges: np.ndarray, llr0: float) -> np.ndarray:
+    """The channel LLR plus each variable's edge messages in `flat`, added
+    in ascending check order: the floats `np.add.at` gives when it
+    scatters a row-major message array."""
+    post = flat[var_edges[0]] + llr0
+    for edges in var_edges[1:]:
+        post += flat[edges]
+    return post
+
+
 def decode_syndrome(
     code: LdpcCode,
     syndrome: np.ndarray,
@@ -266,8 +276,7 @@ def decode_syndrome(
     to the all-zero pattern, which keeps clean-channel sessions cheap.
 
     Every message is the same float as in a row-major decoder that scatters
-    the posterior with `np.add.at`: each variable's posterior adds its
-    edges in ascending check order, starting from the channel LLR.
+    the posterior with `np.add.at` (see `_posterior`).
     """
     s = as_bits(syndrome)
     if s.size != code.m:
@@ -310,9 +319,7 @@ def decode_syndrome(
         np.copysign(msgs, var_msgs, out=msgs)
         msgs *= np.where(flip, -scale, scale)
 
-        post = flat[var_edges[0]] + llr0
-        for edges in var_edges[1:]:
-            post += flat[edges]
+        post = _posterior(flat, var_edges, llr0)
         totals[: code.n] = post
         e_hat = (post < 0.0).view(np.uint8)
         # the next iteration's input; its signs are this hard decision

@@ -7,6 +7,7 @@ from oracles import decode_syndrome_reference
 from qkdkit.keys import KeyMaterial, KeyStage
 from qkdkit.postproc.reconcile import (
     _RATE_CEILINGS,
+    _posterior,
     DecodeFailureError,
     LengthMismatchError,
     ReconcileParams,
@@ -215,6 +216,19 @@ def test_decode_syndrome_matches_reference(name):
             e_hat, ok = decode_syndrome(code, syndrome, qber, iterations)
             ref_hat, ref_ok = decode_syndrome_reference(code, syndrome, qber, iterations)
             assert ok == ref_ok and np.array_equal(e_hat, ref_hat), (qber, iterations)
+
+@pytest.mark.parametrize("name", sorted(available_codes()))
+def test_posterior_adds_in_add_at_order(name):
+    # the decoder's one order-dependent sum: random messages make any other
+    # order differ in the last bits, which a hard decision rarely shows
+    code = load_code(name)
+    rng = np.random.default_rng(40)
+    msgs = rng.normal(0.0, 10.0, code.padded_rows.shape)
+    msgs[code.padded_rows == code.n] = 0.0
+    totals = np.full(code.n + 1, 0.85)
+    np.add.at(totals, code.padded_rows, msgs)
+    flat = np.append(msgs.T.ravel(), 0.0)
+    assert np.array_equal(_posterior(flat, code.var_edges, 0.85), totals[: code.n])
 
 def test_fallback_rescues_decoder_failures():
     rng = np.random.default_rng(35)
