@@ -38,7 +38,8 @@ class DecodeFailureError(Exception):
     """A block could not be reconciled; the session must discard its keys."""
 
 
-# label -> check-count rule; rate = 1 - m/n
+# label -> check-count rule; rate = 1 - m/n. New labels go at the end: a
+# label's position is part of its codes' generator seeds.
 _RATE_RULES = {
     "r050": lambda n: n // 2,
     "r075": lambda n: n // 4,
