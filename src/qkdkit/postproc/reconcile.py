@@ -104,16 +104,11 @@ class LdpcCode:
         # check's reductions are element-wise operations along axis 0.
         self.edge_vars = np.ascontiguousarray(padded.T, dtype=np.intp)
         # var_edges[j, v] is the flat position in edge_vars of variable v's
-        # j-th edge, counting checks in ascending order; edge_vars.size (a
-        # zero slot) where v has fewer edges than the heaviest column.
+        # j-th edge, counting checks in ascending order. Every column has
+        # the same weight; the padding (variable n) sorts last.
         pos = np.arange(padded.size).reshape(wmax, self.m).T.ravel()
-        var = padded.ravel()
-        var, pos = var[var < n], pos[var < n]
-        order = np.argsort(var, kind="stable")
-        degree = np.bincount(var, minlength=n)
-        rank = np.arange(var.size) - (np.cumsum(degree) - degree)[var[order]]
-        self.var_edges = np.full((degree.max(initial=0), n), padded.size, dtype=np.intp)
-        self.var_edges[rank, var[order]] = pos[order]
+        order = np.argsort(padded.ravel(), kind="stable")[: np.count_nonzero(padded < n)]
+        self.var_edges = pos[order].reshape(n, -1).T.copy()
 
     def syndrome(self, x: np.ndarray) -> np.ndarray:
         """H @ x over GF(2); x must have length n."""
@@ -291,9 +286,9 @@ def decode_syndrome(
     wmax, m = edge_vars.shape
     syn = s.astype(bool)
 
-    # check-to-variable messages, followed by the zero slot of var_edges
-    flat = np.zeros(edge_vars.size + 1, dtype=np.float64)
-    msgs = flat[:-1].reshape(wmax, m)
+    # check-to-variable messages, also read through their flat view
+    msgs = np.zeros((wmax, m), dtype=np.float64)
+    flat = msgs.ravel()
     # posterior LLR per variable; the padding slot's +inf keeps every
     # padded variable message at +inf, which never wins a minimum or flips
     # a sign. No message is -0.0 (the sum starts at llr0 > 0), so a sign
