@@ -8,9 +8,9 @@ deterministic interactive parity-bisection exchange before the session
 gives up. `correct_errors` returns the count of every bit it disclosed
 (syndromes and parities), which the final-length computation charges.
 
-The code rate follows the estimated QBER: 0.9, 0.75, 0.65, 0.6 or 0.5,
-each below a ceiling and from a smallest block size (`_RATE_CEILINGS`),
-so a block discloses little more than its errors need.
+The code rate follows the estimated QBER: 0.9, 0.75, 0.65 or 0.5, each
+below a ceiling and from a smallest block size (`_RATE_CEILINGS`), so a
+block discloses little more than its errors need.
 
 Parity-check matrices are versioned data files generated once with fixed
 seeds; see `make_parity_check` for the construction.
@@ -45,26 +45,31 @@ _RATE_RULES = {
     "r075": lambda n: n // 4,
     "r090": lambda n: max(1, round(n / 10)),
     "r065": lambda n: round(n * 0.35),
-    "r060": lambda n: round(n * 0.4),
 }
 _BLOCK_SIZES = (256, 1024, 4096)
+# labels shipped at fewer than all block sizes: at n = 1024 and 256, r065
+# already fails at 1.5% QBER, where r075 still holds
+_SHIPPED_SIZES = {"r065": (4096,)}
 _GEN_SEED = 20240811
 _COL_WEIGHT = 3
 
 # (label, estimated-QBER ceiling, smallest block size it is chosen at),
-# tried in order. The r065 and r060 ceilings are measured with
-# tests/calibrate_rates.py: the highest 0.1% step at which every one of
-# 2000 seeded decodes at n = 4096 returned the true error pattern: min-sum
-# needs m/n of about 1.6-1.7 h(qber) there. At n = 1024 both fail well
-# below those ceilings. The r090 and r075 ceilings are older budgets, and
-# r090 at n = 256 has too little distance to trust.
+# tried in order. The r065 ceiling is measured with tests/calibrate_rates.py:
+# the highest 0.1% step at which every one of 2000 seeded decodes at
+# n = 4096 returned the true error pattern; min-sum needs m/n of about 1.6
+# h(qber) there. The r090 and r075 ceilings are older budgets, and r090 at
+# n = 256 has too little distance to trust.
 _RATE_CEILINGS = (
     ("r090", 0.003, 1024),
     ("r075", 0.015, 256),
     ("r065", 0.034, 4096),
-    ("r060", 0.039, 4096),
     ("r050", 1.0, 256),
 )
+
+
+def block_sizes(rate_label: str) -> tuple[int, ...]:
+    """The block sizes a rate label's codes ship at."""
+    return _SHIPPED_SIZES.get(rate_label, _BLOCK_SIZES)
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,9 @@ class ReconcileParams:
             raise ValueError(f"block_len must be one of {_BLOCK_SIZES} or 0")
         if self.rate_label != "auto" and self.rate_label not in _RATE_RULES:
             raise ValueError(f"unknown rate label {self.rate_label!r}")
+        sizes = block_sizes(self.rate_label)
+        if self.block_len and self.block_len not in sizes:
+            raise ValueError(f"{self.rate_label} ships only at block_len {sizes}")
 
 
 class LdpcCode:
@@ -192,7 +200,8 @@ def available_codes() -> dict[str, tuple[int, int]]:
     out = {}
     for n in _BLOCK_SIZES:
         for label, rule in _RATE_RULES.items():
-            out[code_name(label, n)] = (n, rule(n))
+            if n in block_sizes(label):
+                out[code_name(label, n)] = (n, rule(n))
     return out
 
 
@@ -386,16 +395,16 @@ def parity_bisection(
     return work, disclosed, done(work)
 
 
-def _pick_block_len(key_len: int) -> int:
-    for size in sorted(_BLOCK_SIZES, reverse=True):
+def _pick_block_len(key_len: int, sizes: tuple[int, ...]) -> int:
+    for size in sorted(sizes, reverse=True):
         if key_len >= size:
             return size
-    return _BLOCK_SIZES[0]
+    return sizes[0]
 
 
 def choose_code(params: ReconcileParams, key_len: int) -> str:
     """Name of the code `correct_errors` uses for a key of `key_len` bits."""
-    block_len = params.block_len or _pick_block_len(key_len)
+    block_len = params.block_len or _pick_block_len(key_len, block_sizes(params.rate_label))
     if params.rate_label != "auto":
         return code_name(params.rate_label, block_len)
     for label, ceiling, min_block in _RATE_CEILINGS:

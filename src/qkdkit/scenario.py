@@ -75,7 +75,7 @@ from .postproc import (
     estimate_eavesdropping,
     verify_keys,
 )
-from .postproc.reconcile import _BLOCK_SIZES, _RATE_RULES
+from .postproc.reconcile import _RATE_RULES, block_sizes
 from .postproc.sifting import THRESHOLD_RANGE
 from .protocol import (
     AsymmetricRandom,
@@ -130,9 +130,13 @@ class PostprocParams:
         check_field(self, "threshold", lo < self.threshold < hi, f"in ({lo:g}, {hi:g})")
         check_field(self, "verify_tag_bits", self.verify_tag_bits >= 1, ">= 1")
         check_field(self, "security_margin", self.security_margin >= 0, ">= 0")
-        block_lens, rates = (0, *_BLOCK_SIZES), ("auto", *_RATE_RULES)
-        check_field(self, "ldpc_block_len", self.ldpc_block_len in block_lens, f"one of {block_lens}")
+        rates = ("auto", *_RATE_RULES)
         check_field(self, "code_rate", self.code_rate in rates, f"one of {rates}")
+        block_lens = (0, *block_sizes(self.code_rate))
+        check_field(
+            self, "ldpc_block_len", self.ldpc_block_len in block_lens,
+            f"one of {block_lens} with code_rate {self.code_rate!r}",
+        )
 
 
 @dataclass(frozen=True)

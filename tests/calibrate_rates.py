@@ -1,18 +1,18 @@
-"""Measure the QBER ceiling of an LDPC code rate at each block size.
+"""Measure the QBER ceiling of an LDPC code rate at the block sizes it ships at.
 
 For each 0.1% QBER step from 1.5% upward, decode `--trials` seeded
 Bernoulli error patterns of one block with `decode_syndrome` at that QBER
 and count the decodes that did not return the true pattern. The ceiling is
 the highest step reached before the first step with a failure.
 
-    PYTHONPATH=src python tests/calibrate_rates.py r065 r060
+    PYTHONPATH=src python tests/calibrate_rates.py r065
 """
 import argparse
 import time
 
 import numpy as np
 
-from qkdkit.postproc.reconcile import _BLOCK_SIZES, _RATE_RULES, code_name, decode_syndrome, load_code
+from qkdkit.postproc.reconcile import _RATE_RULES, block_sizes, code_name, decode_syndrome, load_code
 
 FIRST_STEP = 15  # in units of 0.1% QBER
 
@@ -33,10 +33,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("labels", nargs="+", choices=sorted(_RATE_RULES))
     parser.add_argument("--trials", type=int, default=2000)
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(_BLOCK_SIZES))
+    parser.add_argument("--sizes", type=int, nargs="+", help="default: every size the label ships at")
     args = parser.parse_args()
     for label in args.labels:
-        for n in args.sizes:
+        for n in args.sizes or block_sizes(label):
             start, step = time.perf_counter(), FIRST_STEP
             while (failed := failures(label, n, step, args.trials)) == 0:
                 step += 1

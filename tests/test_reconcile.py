@@ -96,13 +96,12 @@ def test_design_rate_blocks_reconcile_reliably():
     assert successes == 20
 
 
-@pytest.mark.parametrize("label", ["r065", "r060"])
-def test_calibrated_rates_decode_by_bp_at_their_ceiling(label):
+def test_r065_decodes_by_bp_at_its_ceiling():
     # criterion 4's check at the rate's QBER ceiling: every block comes out
     # exact and discloses only its syndrome, so parity bisection never ran
-    ceiling = next(c for name, c, _ in _RATE_CEILINGS if name == label)
-    params = ReconcileParams(est_qber=ceiling, block_len=4096, rate_label=label)
-    m = load_code(code_name(label, 4096)).m
+    ceiling = next(c for name, c, _ in _RATE_CEILINGS if name == "r065")
+    params = ReconcileParams(est_qber=ceiling, block_len=4096, rate_label="r065")
+    m = load_code("r065_n4096").m
     rng = np.random.default_rng(39)
     for _ in range(100):
         bits = rng.integers(0, 2, 4096, dtype=np.uint8)
@@ -124,12 +123,11 @@ def test_calibrated_rates_decode_by_bp_at_their_ceiling(label):
     (dict(est_qber=0.015), 4096, "r065_n4096"),
     (dict(est_qber=0.0339), 20_000, "r065_n4096"),
     (dict(est_qber=0.034), 4095, "r050_n1024"),
-    (dict(est_qber=0.034), 20_000, "r060_n4096"),
-    (dict(est_qber=0.0389), 4096, "r060_n4096"),
-    (dict(est_qber=0.039), 4096, "r050_n4096"),
+    (dict(est_qber=0.034), 20_000, "r050_n4096"),
     (dict(est_qber=1.0), 4096, "r050_n4096"),
     (dict(est_qber=0.03, block_len=1024), 20_000, "r050_n1024"),
     (dict(est_qber=0.03, rate_label="r090"), 300, "r090_n256"),
+    (dict(est_qber=0.03, rate_label="r065"), 300, "r065_n4096"),
 ])
 def test_code_choice(params, key_len, name):
     assert choose_code(ReconcileParams(**params), key_len) == name
@@ -175,16 +173,11 @@ DECODE_GOLDEN = {
     "r050_n256": ("ba65efcce24596e3eacfc32af6f38088606fe21831d520bdf1685b65ffc4eaed", 8),
     "r075_n256": ("a1e5140bd246b34832086d27a3bf1a6e351990423e6d5722336ba51f419a8ee2", 5),
     "r090_n256": ("464ef44e48d06a78d055a4caf482e8d57bd8031a26576f5665b1dac569e4e014", 3),
-    "r065_n256": ("d419be14c1efaaeb6ac5a00a49286e12ce0969ce3bc381c84b3bf53a242960b4", 6),
-    "r060_n256": ("6accbbbb8075f7dc9e9e455579cca6a9edc3eea3d10ceb6a1c4eeb6dc9cdc302", 7),
     "r050_n1024": ("11d17d83f58ac2eb290816373b8783a4f676c39354520293f6af909b56e63884", 7),
     "r075_n1024": ("742b245476d33227f8fda6b52910d7ce77ef5907c39179e288df129e701c5fbf", 4),
     "r090_n1024": ("d8afaf3a8d08603d5c330f454cf0a468d13b3380578c30db38d9ee152e27385c", 2),
-    "r065_n1024": ("b74b570465b9cb39a41c010e4fc2bb44b9779eb8f4d1551c7046ea2cf81d6721", 5),
-    "r060_n1024": ("a617684ee83d819022f4057915a3d2aeccfcea0a4991700992c3a153208e7792", 6),
     "r050_n4096": ("809b0102d8b050093f47dc3fcd5ef33214582f70d5eb632544494dea362af398", 7),
     "r065_n4096": ("64a5731d7844c86d7224320381b74ea0284534746b4c1853f72e63c0dbf70780", 5),
-    "r060_n4096": ("0504d4da40362206f0ee35b1adf928475eeb3481b49aa451f69806a1cadbae2b", 7),
 }
 
 
@@ -276,10 +269,16 @@ def test_forced_decode_failure_raises():
         correct_errors(*keypair(bits, noisy_bits), params)
 
 
+def test_rate_without_a_shipped_block_len_is_rejected():
+    with pytest.raises(ValueError, match="r065 ships only at block_len"):
+        ReconcileParams(est_qber=0.03, block_len=1024, rate_label="r065")
+
+
 def test_code_registry_contents():
     names = available_codes()
     assert code_name("r050", 4096) in names
     assert names["r050_n4096"] == (4096, 2048)
     assert names["r090_n1024"] == (1024, 102)
+    assert names["r065_n4096"] == (4096, 1434) and "r065_n1024" not in names
     with pytest.raises(ValueError):
         load_code("r999_n17")

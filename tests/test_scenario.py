@@ -198,7 +198,7 @@ REJECTED_CONFIGS = [
         ("eve/kind", "active"), ("eve/fraction", 1.5),
         ("postproc/threshold", 0), ("postproc/threshold", 0.5),
         ("postproc/verify_tag_bits", 0), ("postproc/security_margin", -1),
-        ("postproc/ldpc_block_len", 512), ("postproc/code_rate", "r099"),
+        ("postproc/ldpc_block_len", 512), ("postproc/code_rate", "r060"),
         ("auth/mode", "none"), ("auth/reserve_bits", -1), ("auth/preshared_pool_bits", -1),
         ("auth/ots_keypairs", 0), ("auth/ots_security_bits", 4), ("auth/ots_security_bits", 264),
         ("auth/ots_digest_bits", 0), ("auth/ots_digest_bits", 257), ("auth/ots_scheme", "xmss"),
@@ -251,6 +251,13 @@ def test_invalid_config_is_rejected_naming_the_field(tmp_path, capsys, path, val
     config.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
     assert re.match(f"error: {names_path}", capsys.readouterr().err)
+
+
+def test_code_rate_without_a_shipped_block_len_is_rejected():
+    scenario_from_dict(base_config(postproc={"code_rate": "r065", "ldpc_block_len": 4096}))
+    cfg = base_config(postproc={"code_rate": "r065", "ldpc_block_len": 1024})
+    with pytest.raises(ConfigError, match="config field postproc/ldpc_block_len: "):
+        scenario_from_dict(cfg)
 
 
 def test_clean_session_produces_equal_verified_keys():
