@@ -10,7 +10,9 @@ gives up. `correct_errors` returns the count of every bit it disclosed
 
 The code rate follows the estimated QBER: 0.9, 0.75, 0.65 or 0.5, each
 below a ceiling and from a smallest block size (`_RATE_CEILINGS`), so a
-block discloses little more than its errors need.
+block discloses little more than its errors need. When the estimate sees
+no error at all, a round first verifies the keys with no syndrome
+(`reconcile_codes`), and reconciles only if the tags differ.
 
 Parity-check matrices are versioned data files generated once with fixed
 seeds; see `make_parity_check` for the construction.
@@ -411,6 +413,25 @@ def choose_code(params: ReconcileParams, key_len: int) -> str:
         if params.est_qber < ceiling and block_len >= min_block:
             return code_name(label, block_len)
     return code_name("r050", block_len)
+
+
+# The code a reconcile message names when it discloses no syndrome.
+NO_CODE = "none"
+
+
+def reconcile_codes(params: ReconcileParams, key_len: int) -> tuple[str, ...]:
+    """The codes a round tries in order, each attempt followed by a
+    verification; the round stops at the first one that verifies.
+
+    With auto choice and no error seen, the keys are verified before any
+    syndrome is disclosed (rate 1, NO_CODE), and `choose_code`'s code is
+    the fallback when the tags differ. Otherwise the round tries that code
+    alone.
+    """
+    code = choose_code(params, key_len)
+    if params.rate_label == "auto" and params.est_qber == 0.0:
+        return NO_CODE, code
+    return (code,)
 
 
 def correct_errors(

@@ -12,10 +12,12 @@ the next round's authentication pool. Every classical message is
 authenticated (one-time signatures in a bootstrap first round, the
 one-time MAC afterwards) and logged with the number of key-relevant bits
 it disclosed, so the disclosure counts in each round's report row can be
-audited off the message log.
-The reconciliation exchange is batched into a single authenticated
+audited off the message log; `run_session` checks that they are.
+Each reconciliation attempt is batched into a single authenticated
 message whose payload carries the number of disclosed syndrome and parity
-bits, the block length and the code rate, not the bits themselves.
+bits and the name of the code, not the bits themselves. When no error was
+seen, the first attempt names no code and discloses nothing: the keys are
+verified before any syndrome is sent.
 """
 from __future__ import annotations
 
@@ -75,7 +77,7 @@ from .postproc import (
     estimate_eavesdropping,
     verify_keys,
 )
-from .postproc.reconcile import _RATE_RULES, block_sizes
+from .postproc.reconcile import _RATE_RULES, NO_CODE, block_sizes, reconcile_codes
 from .postproc.sifting import THRESHOLD_RANGE
 from .protocol import (
     AsymmetricRandom,
@@ -92,6 +94,10 @@ from .protocol import (
 
 class ConfigError(Exception):
     """Scenario configuration failed to parse or validate."""
+
+
+class DisclosureMismatchError(RuntimeError):
+    """A round's report row disagrees with what its messages disclosed."""
 
 
 # Exit-code taxonomy (total over every defined failure mode).
@@ -370,6 +376,12 @@ class RoundReport:
 # and never written.
 _ROUND_FIELDS = tuple(f.name for f in fields(RoundReport) if f.name not in ("keys_equal", "verified"))
 ROUND_COLUMNS = tuple("round" if name == "round_no" else name for name in _ROUND_FIELDS)
+# the RoundReport field that holds each message-log disclosure category
+_DISCLOSURE_FIELDS = {
+    "sifting": "sifting_disclosed",
+    "syndrome": "syndrome_bits",
+    "verification": "verification_bits",
+}
 
 
 @dataclass
@@ -488,7 +500,26 @@ def run_session(scenario: Scenario, keep_transcripts: bool = False) -> SessionRe
         if stop is not None:
             result.status, result.reason = stop
             break
+    _audit_disclosures(result)
     return result
+
+
+def _audit_disclosures(result: SessionResult) -> None:
+    """Raise DisclosureMismatchError unless, for every reported round, the
+    message log's `disclosed` counts sum to the row's count per category."""
+    logged = {r.round_no: dict.fromkeys(_DISCLOSURE_FIELDS, 0) for r in result.rounds}
+    for message in result.messages:
+        sums = logged.get(message.round_no)
+        if sums is None:  # a round that stopped before its report row
+            continue
+        for category, bits in message.disclosed.items():
+            sums[category] = sums.get(category, 0) + bits
+    for r in result.rounds:
+        reported = {category: getattr(r, name) for category, name in _DISCLOSURE_FIELDS.items()}
+        if logged[r.round_no] != reported:
+            raise DisclosureMismatchError(
+                f"round {r.round_no}: message log discloses {logged[r.round_no]}, report row {reported}"
+            )
 
 
 def _run_round(
@@ -567,33 +598,35 @@ def _run_round(
         block_len=pp.ldpc_block_len,
         rate_label=pp.code_rate,
     )
-    corrected_b, syndrome_leak = correct_errors(sifted_a, sifted_b, reconcile)
-    messenger.send(
-        round_no,
-        "alice",
-        "reconcile",
-        {
-            "decision": est.decision.value,
-            "disclosed_bits": syndrome_leak,
-            "block_len": reconcile.block_len,
-            "rate": reconcile.rate_label,
-        },
-        disclosed={"syndrome": syndrome_leak},
-    )
-
     public_rng = np.random.default_rng(derive_seed(scenario.master_seed, "public-coins", round_no))
-    verify_seed = ToeplitzSeed.random(sifted_a.length, pp.verify_tag_bits, public_rng)
-    verified = verify_keys(sifted_a, corrected_b, verify_seed, pp.verify_tag_bits)
-    messenger.send(
-        round_no,
-        "alice",
-        "verify",
-        {"seed": _hex(verify_seed.bits), "tag_bits": pp.verify_tag_bits},
-        disclosed={"verification": pp.verify_tag_bits},
-    )
-    messenger.send(round_no, "bob", "verify-ack", {"ok": verified})
-    report.syndrome_bits = syndrome_leak
-    report.verification_bits = pp.verify_tag_bits
+    # Each attempt reconciles (or, with NO_CODE, discloses nothing), then
+    # verifies with a fresh seed; every syndrome and tag sent is charged.
+    for code in reconcile_codes(reconcile, sifted_a.length):
+        if code == NO_CODE:
+            corrected_b, syndrome_leak = sifted_b, 0
+        else:
+            corrected_b, syndrome_leak = correct_errors(sifted_a, sifted_b, reconcile)
+        messenger.send(
+            round_no,
+            "alice",
+            "reconcile",
+            {"decision": est.decision.value, "disclosed_bits": syndrome_leak, "code": code},
+            disclosed={"syndrome": syndrome_leak},
+        )
+        verify_seed = ToeplitzSeed.random(sifted_a.length, pp.verify_tag_bits, public_rng)
+        verified = verify_keys(sifted_a, corrected_b, verify_seed, pp.verify_tag_bits)
+        messenger.send(
+            round_no,
+            "alice",
+            "verify",
+            {"seed": _hex(verify_seed.bits), "tag_bits": pp.verify_tag_bits},
+            disclosed={"verification": pp.verify_tag_bits},
+        )
+        messenger.send(round_no, "bob", "verify-ack", {"ok": verified})
+        report.syndrome_bits += syndrome_leak
+        report.verification_bits += pp.verify_tag_bits
+        if verified:
+            break
     report.verified = verified
 
     if not verified:

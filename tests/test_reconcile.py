@@ -20,6 +20,7 @@ from qkdkit.postproc.reconcile import (
     load_code,
     parity_bisection,
     parse_code_file,
+    reconcile_codes,
 )
 
 
@@ -131,6 +132,22 @@ def test_r065_decodes_by_bp_at_its_ceiling():
 ])
 def test_code_choice(params, key_len, name):
     assert choose_code(ReconcileParams(**params), key_len) == name
+
+
+# Only auto choice with no error seen verifies first; any error estimate
+# or explicit rate goes straight to its code.
+@pytest.mark.parametrize("params, key_len, codes", [
+    (dict(est_qber=0.0), 3306, ("none", "r090_n1024")),
+    (dict(est_qber=0.0), 300, ("none", "r075_n256")),
+    (dict(est_qber=0.0, block_len=4096), 20_000, ("none", "r090_n4096")),
+    (dict(est_qber=0.0), 0, ("none", "r075_n256")),
+    (dict(est_qber=0.00005), 3306, ("r090_n1024",)),
+    (dict(est_qber=0.03), 20_000, ("r065_n4096",)),
+    (dict(est_qber=0.0, rate_label="r090"), 3306, ("r090_n1024",)),
+    (dict(est_qber=0.0, rate_label="r050"), 3306, ("r050_n1024",)),
+])
+def test_reconcile_codes(params, key_len, codes):
+    assert reconcile_codes(ReconcileParams(**params), key_len) == codes
 
 
 def test_padding_and_multiple_chunks():

@@ -7,9 +7,11 @@ import pytest
 
 from qkdkit.auth import AuthMode
 from qkdkit.cli import main
+from qkdkit.postproc import load_code
 from qkdkit.protocol import ProtocolConfig, SymmetricRandom
 from qkdkit.scenario import (
     ConfigError,
+    DisclosureMismatchError,
     EXIT_ABORTED,
     EXIT_CONFIG_ERROR,
     EXIT_DECODE_FAILURE,
@@ -269,12 +271,23 @@ def test_clean_session_produces_equal_verified_keys():
         assert np.array_equal(bits_a, bits_b)
         assert report.e_x == 0.0
         assert report.final_length > 0
+        # no error seen: the keys are verified before any syndrome is sent
+        assert (report.syndrome_bits, report.verification_bits) == (0, 64)
+    assert _reconcile_codes(result, 1) == ["none"]
     assert result.rounds[0].auth_mode == AuthMode.OTS.value
     assert result.rounds[1].auth_mode == AuthMode.WEGMAN_CARTER.value
 
 
-def test_leakage_ledger_matches_public_channel_audit():
-    result = run_session(scenario_from_dict(base_config(rounds=2)))
+def _reconcile_codes(result, round_no):
+    """The code each reconcile message of a round names, in order."""
+    return [
+        json.loads(m.payload)["code"]
+        for m in result.messages
+        if m.round_no == round_no and m.label == "reconcile"
+    ]
+
+
+def _assert_log_matches_report(result):
     for report in result.rounds:
         audited = {"sifting": 0, "syndrome": 0, "verification": 0}
         for msg in result.messages:
@@ -284,6 +297,74 @@ def test_leakage_ledger_matches_public_channel_audit():
         assert audited["sifting"] == report.sifting_disclosed
         assert audited["syndrome"] == report.syndrome_bits
         assert audited["verification"] == report.verification_bits
+
+
+def _r090_syndrome_bits(n_sifted):
+    code = load_code("r090_n1024")
+    return code.m * -(-n_sifted // code.n)
+
+
+def test_leakage_ledger_matches_public_channel_audit():
+    _assert_log_matches_report(run_session(scenario_from_dict(base_config(rounds=2))))
+
+
+def test_run_session_audits_disclosures(monkeypatch):
+    import qkdkit.scenario
+
+    real_send = qkdkit.scenario._Messenger.send
+
+    def send_overcounting_the_tag(self, round_no, sender, label, fields, disclosed=None):
+        if label == "verify":
+            disclosed = {"verification": disclosed["verification"] + 1}
+        real_send(self, round_no, sender, label, fields, disclosed)
+
+    monkeypatch.setattr(qkdkit.scenario._Messenger, "send", send_overcounting_the_tag)
+    with pytest.raises(DisclosureMismatchError, match="^round 1: "):
+        run_session(scenario_from_dict(base_config()))
+
+
+def test_error_unseen_by_the_estimate_falls_back_to_the_syndrome(monkeypatch):
+    # e_x = 0, but Bob's key has one error: the tags differ, so the round
+    # reconciles with the rate-0.9 code and verifies again with a new seed
+    _flip_one_sifted_bit(monkeypatch)
+    result = run_session(scenario_from_dict(base_config()))
+    assert result.status == STATUS_OK
+    (row,) = result.rounds
+    assert row.e_x == 0.0 and row.verified and row.keys_equal
+    assert row.syndrome_bits == _r090_syndrome_bits(row.n_sifted) == 408
+    assert row.verification_bits == 2 * 64
+    labels = [m.label for m in result.messages[3:]]
+    assert labels == ["reconcile", "verify", "verify-ack"] * 2 + ["amplify"]
+    assert _reconcile_codes(result, 1) == ["none", "r090_n1024"]
+    first, second = (json.loads(m.payload)["seed"] for m in result.messages if m.label == "verify")
+    assert first != second
+    _assert_log_matches_report(result)
+
+
+def test_explicit_code_rate_discloses_its_syndrome_on_a_clean_channel():
+    result = run_session(scenario_from_dict(base_config(postproc={"code_rate": "r090"})))
+    assert result.status == STATUS_OK
+    (row,) = result.rounds
+    assert row.e_x == 0.0 and row.verified and row.keys_equal
+    assert row.syndrome_bits == _r090_syndrome_bits(row.n_sifted) > 0
+    assert row.verification_bits == 64
+    assert _reconcile_codes(result, 1) == ["r090_n1024"]
+
+
+def test_noisy_link_discloses_one_rate_065_syndrome_per_block():
+    # the CI smoke step's noisy config
+    cfg = {
+        "master_seed": 1,
+        "rounds": 1,
+        "protocol": {"n_pulses": 40000},
+        "channel": {"transmittance": 0.9, "misalignment_error": 0.03},
+    }
+    result = run_session(scenario_from_dict(cfg))
+    assert result.status == STATUS_OK
+    (row,) = result.rounds
+    assert row.e_x > 0 and row.verified
+    assert (row.n_sifted, row.syndrome_bits, row.verification_bits) == (8146, 2868, 64)
+    assert _reconcile_codes(result, 1) == ["r065_n4096"]
 
 
 def test_full_interception_aborts():
@@ -314,6 +395,28 @@ def test_underfunded_growth_exhausts_the_pool():
     assert result.rounds and not result.rounds[-1].sustainable
 
 
+def _flip_one_sifted_bit(monkeypatch):
+    """Give Bob's sifted key one error outside the X-basis sample."""
+    import qkdkit.scenario
+
+    real_announce_and_sift = qkdkit.scenario.announce_and_sift
+
+    def announce_and_sift_flipping_one_bit(transcript):
+        sifted_a, sifted_b, x_sample, bundle, disclosed = real_announce_and_sift(transcript)
+        bits = sifted_b.bits.copy()
+        bits[0] ^= 1
+        return sifted_a, sifted_b.with_bits(bits), x_sample, bundle, disclosed
+
+    monkeypatch.setattr(qkdkit.scenario, "announce_and_sift", announce_and_sift_flipping_one_bit)
+
+
+def _fail_both_verifications(monkeypatch):
+    """An error the estimate does not see, which reconciliation then
+    gets wrong: both the rate-1 and the syndrome attempt fail to verify."""
+    _flip_one_sifted_bit(monkeypatch)
+    _flip_one_corrected_bit(monkeypatch)
+
+
 def _flip_one_corrected_bit(monkeypatch):
     """Make reconciliation hand Bob a key one bit off Alice's."""
     import qkdkit.scenario
@@ -330,12 +433,15 @@ def _flip_one_corrected_bit(monkeypatch):
 
 
 def test_verification_failure_discards_the_round(monkeypatch):
-    _flip_one_corrected_bit(monkeypatch)
+    _fail_both_verifications(monkeypatch)
     result = run_session(scenario_from_dict(base_config()))
     assert result.status == STATUS_DECODE_FAILURE and result.reason == "verification-failed"
     assert result.exit_code == EXIT_DECODE_FAILURE == 3
     (row,) = result.rounds
     assert row.verified is False and row.keys_equal is False
+    # both attempts are charged: the syndrome and two tags
+    assert row.syndrome_bits == _r090_syndrome_bits(row.n_sifted)
+    assert row.verification_bits == 2 * 64
     assert row.final_length == row.reserve_bits == row.application_bits == 0
     assert not result.final_keys and not result.application_keys
 
@@ -343,10 +449,10 @@ def test_verification_failure_discards_the_round(monkeypatch):
 _SMALL_ROUNDS = {"n_pulses": 2048, "decoy_probability": 0.1, "strategy": {"mode": "symmetric"}}
 
 
-# (config, flip a corrected bit, status, reason, and the lengths of
+# (config, fail both verifications, status, reason, and the lengths of
 # rounds / final_keys / application_keys / transcripts / messages)
 @pytest.mark.parametrize(
-    "cfg, flip, status, reason, counts",
+    "cfg, fail_verify, status, reason, counts",
     [
         (base_config(rounds=2), False, STATUS_OK, None, (2, 2, 2, 2, 14)),
         (base_config(eve={"kind": "intercept_resend", "fraction": 1.0}), False,
@@ -355,14 +461,14 @@ _SMALL_ROUNDS = {"n_pulses": 2048, "decoy_probability": 0.1, "strategy": {"mode"
         (base_config(channel={"transmittance": 0.9, "misalignment_error": 0.35}, postproc={"threshold": 0.45}),
          False, STATUS_DECODE_FAILURE, "block 0 failed both BP decoding and parity bisection", (0, 0, 0, 1, 3)),
         (base_config(rounds=3, protocol=_SMALL_ROUNDS), False,
-         STATUS_POOL_EXHAUSTED, "pool holds 206 bits, 255 requested for mac-tag", (1, 1, 0, 2, 7)),
-        (base_config(), True, STATUS_DECODE_FAILURE, "verification-failed", (1, 0, 0, 1, 6)),
+         STATUS_POOL_EXHAUSTED, "pool holds 79 bits, 255 requested for mac-tag", (1, 1, 0, 2, 8)),
+        (base_config(), True, STATUS_DECODE_FAILURE, "verification-failed", (1, 0, 0, 1, 9)),
     ],
     ids=["ok", "intercept-resend", "empty-sample", "decode-failure", "pool-exhausted", "verification-failed"],
 )
-def test_session_result_on_every_stop_path(monkeypatch, cfg, flip, status, reason, counts):
-    if flip:
-        _flip_one_corrected_bit(monkeypatch)
+def test_session_result_on_every_stop_path(monkeypatch, cfg, fail_verify, status, reason, counts):
+    if fail_verify:
+        _fail_both_verifications(monkeypatch)
     result = run_session(scenario_from_dict(cfg), keep_transcripts=True)
     assert (result.status, result.reason) == (status, reason)
     lengths = (result.rounds, result.final_keys, result.application_keys, result.transcripts, result.messages)
