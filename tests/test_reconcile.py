@@ -44,6 +44,30 @@ def test_shipped_codes_match_their_generators():
         ), f"{name} diverges from its construction"
 
 
+# SHA-256 over each code's row lengths, then its concatenated rows, both as
+# little-endian int32: the matrices every earlier release decoded with.
+LDPC_GOLDEN = {
+    "r050_n256": "ec29ec17f1309149bc2d64f9e06dc64e0d6102cd724756153698a8d375c3b419",
+    "r075_n256": "b7bdf4b848cc14c712a06a40e80d8dc5e5cc03e2573c0cb114013f188a085426",
+    "r090_n256": "cd946d9c490bc6fa4db192a7182a28677dfc717d285ff737c1ecf05408a40dcf",
+    "r050_n1024": "be569cbbf52b1ef4f95e60f3bc89c5b5e1abc5cf540355ed5b3ce5c55b4c75bc",
+    "r075_n1024": "21db3319b13e22728f9cf18489afaf5e05e4279b9ad7bf8c4ec0b7055788dd66",
+    "r090_n1024": "c885afa27c2ea554d06007d63813d16516376f8c8223f31fe5a45fa944b19230",
+    "r050_n4096": "9d62113a4a6a4ce92ae09b0c654a6c7bf9cbcc4496948c1f8511187ed7d423e6",
+    "r065_n4096": "11d4a43e7b6245a6fa8ecaa4efd9cc565b5a15ede52f6c18b16f5edcbcbf3208",
+    "r075_n4096": "2425da89d7f62e37b4d3415683294b76b29a21a228240cfb6d9203cefd85b89b",
+    "r090_n4096": "8f4970263cd99ecb46e870449b25ceb18f5e3b35ede431e264f141c9151b1da6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(available_codes()))
+def test_code_golden(name):
+    rows = load_code(name).rows
+    digest = hashlib.sha256(np.array([len(r) for r in rows], dtype="<i4").tobytes())
+    digest.update(np.concatenate(rows).astype("<i4").tobytes())
+    assert digest.hexdigest() == LDPC_GOLDEN[name]
+
+
 def test_shipped_codes_are_simple_and_column_regular():
     # the decoder's per-variable gather relies on equal column weights
     for name in sorted(available_codes()):
