@@ -1,7 +1,7 @@
 """Error correction: LDPC syndrome decoding with a parity-bisection fallback.
 
 The sender's sifted key is the reference. She discloses the syndrome of
-each fixed-size block under a shipped parity-check matrix; the receiver
+each fixed-size block under a fixed parity-check matrix; the receiver
 runs normalized min-sum belief propagation on the syndrome difference to
 locate his errors. Blocks the decoder cannot fix fall back to a
 deterministic interactive parity-bisection exchange before the session
@@ -14,22 +14,22 @@ block discloses little more than its errors need. When the estimate sees
 no error at all, a round first verifies the keys with no syndrome
 (`reconcile_codes`), and reconciles only if the tags differ.
 
-Parity-check matrices are versioned data files generated once with fixed
-seeds; see `make_parity_check` for the construction.
+Each parity-check matrix is built from its recorded construction seed the
+first time a process uses it (`load_code`); see `make_parity_check` for the
+construction.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from ..bits import as_bits, parity
 from ..keys import KeyMaterial
-
-_FORMAT_VERSION = 1
 
 
 class LengthMismatchError(Exception):
@@ -99,12 +99,11 @@ class ReconcileParams:
 class LdpcCode:
     """A fixed binary parity-check matrix in sparse row form."""
 
-    def __init__(self, name: str, n: int, rows: list[np.ndarray], meta: dict | None = None):
+    def __init__(self, name: str, n: int, rows: list[np.ndarray]):
         self.name = name
         self.n = n
         self.m = len(rows)
         self.rows = rows
-        self.meta = meta or {}
         wmax = max(len(r) for r in rows)
         padded = np.full((self.m, wmax), n, dtype=np.int32)
         for i, r in enumerate(rows):
@@ -137,18 +136,24 @@ def make_parity_check(n: int, m: int, col_weight: int, seed: int) -> list[np.nda
     kinds of defects: duplicate edges (a variable appearing twice in one
     check) and duplicate columns (two variables with identical check sets,
     which would be an undetectable two-bit error pattern).
+
+    A swap never creates a duplicate edge: the variable it moves into a
+    check is not already there. So duplicate edges are repaired in one pass
+    over the rows, re-checking only the current row after each swap, and no
+    earlier row can gain one back; after that pass only duplicate columns
+    remain to repair. The swaps, and so the matrix, are those of a repair
+    that rescans every row after every swap.
     """
     rng = random.Random(seed)
-    sockets = [v for v in range(n) for _ in range(col_weight)]
+    sockets = np.repeat(np.arange(n), col_weight).tolist()
     rng.shuffle(sockets)
 
     base, extra = divmod(n * col_weight, m)
-    rows: list[list[int]] = []
-    pos = 0
-    for i in range(m):
-        size = base + (1 if i < extra else 0)
-        rows.append(sockets[pos : pos + size])
-        pos += size
+    sizes = [base + (1 if i < extra else 0) for i in range(m)]
+    starts = [0, *itertools.accumulate(sizes)]
+    rows = [sockets[start:end] for start, end in zip(starts, starts[1:])]
+    # each socket's check in row-major order; a swap keeps every row's length
+    socket_check = np.repeat(np.arange(m), sizes)
 
     def swap_away(i: int, k: int) -> None:
         # Move rows[i][k] somewhere else without creating a duplicate edge.
@@ -163,30 +168,28 @@ def make_parity_check(n: int, m: int, col_weight: int, seed: int) -> list[np.nda
             return
         raise RuntimeError("parity-check repair failed to find a valid swap")
 
-    def duplicate_edge():
-        for i, row in enumerate(rows):
-            seen = set()
-            for k, v in enumerate(row):
-                if v in seen:
-                    return i, k
-                seen.add(v)
-        return None
+    def duplicate_column() -> tuple[int, int] | None:
+        # The first socket of the smallest variable whose checks equal an
+        # earlier variable's. Every variable keeps its col_weight sockets, so
+        # its checks in row order are one row of `columns`.
+        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=len(sockets))
+        order = np.argsort(flat, kind="stable")
+        columns = socket_check[order].reshape(n, col_weight)
+        _, first = np.unique(np.ravel_multi_index(columns.T, (m,) * col_weight), return_index=True)
+        if first.size == n:
+            return None
+        repeated = np.ones(n, dtype=bool)
+        repeated[first] = False
+        socket = int(order[np.argmax(repeated) * col_weight])
+        i = int(socket_check[socket])
+        return i, socket - starts[i]
 
-    def duplicate_column():
-        occurrences: dict[int, list[tuple[int, int]]] = {}
-        for i, row in enumerate(rows):
-            for k, v in enumerate(row):
-                occurrences.setdefault(v, []).append((i, k))
-        signatures: dict[tuple[int, ...], int] = {}
-        for v, occ in sorted(occurrences.items()):
-            key = tuple(sorted(i for i, _ in occ))
-            if key in signatures:
-                return occ[0]
-            signatures[key] = v
-        return None
-
+    for i, row in enumerate(rows):
+        while len(set(row)) < len(row):
+            # swap away the row's first repeated variable
+            swap_away(i, next(k for k, v in enumerate(row) if v in row[:k]))
     for _ in range(100_000):
-        defect = duplicate_edge() or duplicate_column()
+        defect = duplicate_column()
         if defect is None:
             return [np.array(sorted(row), dtype=np.int32) for row in rows]
         swap_away(*defect)
@@ -198,7 +201,7 @@ def code_name(rate_label: str, n: int) -> str:
 
 
 def available_codes() -> dict[str, tuple[int, int]]:
-    """All shipped codes as name -> (n, m)."""
+    """Every code `load_code` builds, as name -> (n, m)."""
     out = {}
     for n in _BLOCK_SIZES:
         for label, rule in _RATE_RULES.items():
@@ -207,57 +210,17 @@ def available_codes() -> dict[str, tuple[int, int]]:
     return out
 
 
-def format_code_file(name: str, n: int, rows: list[np.ndarray], col_weight: int, seed: int) -> str:
-    lines = [
-        f"# qkdkit-ldpc version={_FORMAT_VERSION}",
-        f"# name={name} n={n} m={len(rows)} col_weight={col_weight} seed={seed}",
-    ]
-    lines.extend(" ".join(str(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def parse_code_file(text: str) -> LdpcCode:
-    meta: dict[str, int | str] = {}
-    rows: list[np.ndarray] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, value = token.split("=", 1)
-                    meta[key] = int(value) if value.lstrip("-").isdigit() else value
-            continue
-        rows.append(np.array([int(v) for v in line.split()], dtype=np.int32))
-    if "n" not in meta:
-        raise ValueError("code file is missing its 'n=' header")
-    code = LdpcCode(str(meta.get("name", "unnamed")), int(meta["n"]), rows, meta=meta)
-    if "m" in meta and int(meta["m"]) != code.m:
-        raise ValueError(f"code file declares m={meta['m']} but has {code.m} rows")
-    return code
-
-
-_code_cache: dict[str, LdpcCode] = {}
-
-
+@functools.cache
 def load_code(name: str) -> LdpcCode:
-    """Load a shipped parity-check matrix by name (cached)."""
-    if name not in _code_cache:
-        if name not in available_codes():
-            raise ValueError(f"unknown code {name!r}; shipped: {sorted(available_codes())}")
-        text = resources.files("qkdkit").joinpath("data", "ldpc", f"{name}.txt").read_text()
-        _code_cache[name] = parse_code_file(text)
-    return _code_cache[name]
-
-
-def generate_code(rate_label: str, n: int) -> tuple[str, list[np.ndarray]]:
-    """Regenerate a shipped code from its fixed construction parameters."""
-    m = _RATE_RULES[rate_label](n)
-    name = code_name(rate_label, n)
-    seed = _GEN_SEED + 1000 * _BLOCK_SIZES.index(n) + list(_RATE_RULES).index(rate_label)
-    rows = make_parity_check(n, m, _COL_WEIGHT, seed)
-    return format_code_file(name, n, rows, _COL_WEIGHT, seed), rows
+    """Build a parity-check matrix by name from its recorded construction
+    seed; each code is built once per process."""
+    codes = available_codes()
+    if name not in codes:
+        raise ValueError(f"unknown code {name!r}; shipped: {sorted(codes)}")
+    n, m = codes[name]
+    label = name.split("_")[0]
+    seed = _GEN_SEED + 1000 * _BLOCK_SIZES.index(n) + list(_RATE_RULES).index(label)
+    return LdpcCode(name, n, make_parity_check(n, m, _COL_WEIGHT, seed))
 
 
 def _posterior(flat: np.ndarray, var_edges: np.ndarray, llr0: float) -> np.ndarray:

@@ -16,10 +16,8 @@ from qkdkit.postproc.reconcile import (
     code_name,
     correct_errors,
     decode_syndrome,
-    generate_code,
     load_code,
     parity_bisection,
-    parse_code_file,
     reconcile_codes,
 )
 
@@ -29,19 +27,6 @@ def keypair(bits_a, bits_b):
         KeyMaterial(np.asarray(bits_a, dtype=np.uint8), KeyStage.SIFTED),
         KeyMaterial(np.asarray(bits_b, dtype=np.uint8), KeyStage.SIFTED),
     )
-
-
-def test_shipped_codes_match_their_generators():
-    # guards against accidental edits to the data files
-    for name, (n, m) in sorted(available_codes().items()):
-        rate_label = name.split("_")[0]
-        code = load_code(name)
-        assert (code.n, code.m) == (n, m)
-        expected_text, _ = generate_code(rate_label, n)
-        regenerated = parse_code_file(expected_text)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(code.rows, regenerated.rows)
-        ), f"{name} diverges from its construction"
 
 
 # SHA-256 over each code's row lengths, then its concatenated rows, both as
