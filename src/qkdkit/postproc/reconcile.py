@@ -175,12 +175,12 @@ def make_parity_check(n: int, m: int, col_weight: int, seed: int) -> list[np.nda
         flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=len(sockets))
         order = np.argsort(flat, kind="stable")
         columns = socket_check[order].reshape(n, col_weight)
-        _, first = np.unique(np.ravel_multi_index(columns.T, (m,) * col_weight), return_index=True)
-        if first.size == n:
+        # a stable sort puts each repeated column after its first variable
+        ranked = np.lexsort(columns.T[::-1])
+        same = (columns[ranked[1:]] == columns[ranked[:-1]]).all(axis=1)
+        if not same.any():
             return None
-        repeated = np.ones(n, dtype=bool)
-        repeated[first] = False
-        socket = int(order[np.argmax(repeated) * col_weight])
+        socket = int(order[ranked[1:][same].min() * col_weight])
         i = int(socket_check[socket])
         return i, socket - starts[i]
 
