@@ -359,6 +359,8 @@ def establish_pqc_key(state: NetworkState, src: str, dst: str, key_len: int) -> 
         raise ValueError("key_len must be positive")
     if not pqc_route_exists(state.topology, src, dst):
         raise PolicyUnsatisfiableError(f"no pqc route from {src} to {dst}")
+    if src == dst:
+        raise NoPathError("source and destination coincide")
     state._pqc_counter += 1
     record = KeyRecord(
         key_id=state._new_key_id(),

@@ -8,10 +8,12 @@ deterministic interactive parity-bisection exchange before the session
 gives up. `correct_errors` returns the count of every bit it disclosed
 (syndromes and parities), which the final-length computation charges.
 
-The code rate follows the estimated QBER: 0.9, 0.75, 0.65 or 0.5, each
-below a ceiling and from a smallest block size (`_RATE_CEILINGS`), so a
-block discloses little more than its errors need. When the estimate sees
-no error at all, a round first verifies the keys with no syndrome
+Each round chooses its own code (`choose_code`): the block size follows
+the key length, and the rate follows the estimated QBER: 0.9, 0.75, 0.65
+or 0.5, each below a ceiling and from a smallest block size
+(`_RATE_CEILINGS`, which also lists every code that exists), so a block
+discloses little more than its errors need. When the estimate sees no
+error at all, a round first verifies the keys with no syndrome
 (`reconcile_codes`), and reconciles only if the tags differ.
 
 Each parity-check matrix is built from its recorded construction seed the
@@ -49,51 +51,37 @@ _RATE_RULES = {
     "r065": lambda n: round(n * 0.35),
 }
 _BLOCK_SIZES = (256, 1024, 4096)
-# labels shipped at fewer than all block sizes: at n = 1024 and 256, r065
-# already fails at 1.5% QBER, where r075 still holds
-_SHIPPED_SIZES = {"r065": (4096,)}
 _GEN_SEED = 20240811
 _COL_WEIGHT = 3
 
 # (label, estimated-QBER ceiling, smallest block size it is chosen at),
-# tried in order. The r065 ceiling is measured with tests/calibrate_rates.py:
+# tried in order; a label's codes exist at every block size from its
+# smallest. The r065 ceiling is measured with tests/calibrate_rates.py:
 # the highest 0.1% step at which every one of 2000 seeded decodes at
 # n = 4096 returned the true error pattern; min-sum needs m/n of about 1.6
-# h(qber) there. The r090 and r075 ceilings are older budgets, and r090 at
-# n = 256 has too little distance to trust.
+# h(qber) there, and at n = 1024 and 256 r065 already fails at 1.5% QBER,
+# where r075 still holds. The r090 and r075 ceilings are older budgets,
+# and r090 at n = 256 has too little distance to trust.
 _RATE_CEILINGS = (
     ("r090", 0.003, 1024),
     ("r075", 0.015, 256),
     ("r065", 0.034, 4096),
     ("r050", 1.0, 256),
 )
-
-
-def block_sizes(rate_label: str) -> tuple[int, ...]:
-    """The block sizes a rate label's codes ship at."""
-    return _SHIPPED_SIZES.get(rate_label, _BLOCK_SIZES)
+# decoder effort per block: min-sum iterations, then parity-bisection passes
+_MAX_ITERATIONS = 60
+_MAX_BISECTION_PASSES = 12
 
 
 @dataclass(frozen=True)
 class ReconcileParams:
-    """Controls block size, code-rate choice and decoder effort."""
+    """The estimated QBER a round's code choice and decoder start from."""
 
     est_qber: float
-    block_len: int = 0  # 0 selects a shipped size based on key length
-    rate_label: str = "auto"
-    max_iterations: int = 60
-    max_bisection_passes: int = 12
 
     def __post_init__(self):
         if not 0.0 <= self.est_qber <= 1.0:
             raise ValueError("est_qber must lie in [0, 1]")
-        if self.block_len and self.block_len not in _BLOCK_SIZES:
-            raise ValueError(f"block_len must be one of {_BLOCK_SIZES} or 0")
-        if self.rate_label != "auto" and self.rate_label not in _RATE_RULES:
-            raise ValueError(f"unknown rate label {self.rate_label!r}")
-        sizes = block_sizes(self.rate_label)
-        if self.block_len and self.block_len not in sizes:
-            raise ValueError(f"{self.rate_label} ships only at block_len {sizes}")
 
 
 class LdpcCode:
@@ -201,13 +189,14 @@ def code_name(rate_label: str, n: int) -> str:
 
 
 def available_codes() -> dict[str, tuple[int, int]]:
-    """Every code `load_code` builds, as name -> (n, m)."""
-    out = {}
-    for n in _BLOCK_SIZES:
-        for label, rule in _RATE_RULES.items():
-            if n in block_sizes(label):
-                out[code_name(label, n)] = (n, rule(n))
-    return out
+    """Every code `load_code` builds, as name -> (n, m): exactly the codes
+    `choose_code` can pick."""
+    return {
+        code_name(label, n): (n, _RATE_RULES[label](n))
+        for n in _BLOCK_SIZES
+        for label, _ceiling, min_block in _RATE_CEILINGS
+        if n >= min_block
+    }
 
 
 @functools.cache
@@ -237,7 +226,7 @@ def decode_syndrome(
     code: LdpcCode,
     syndrome: np.ndarray,
     qber: float,
-    max_iterations: int = 60,
+    max_iterations: int = _MAX_ITERATIONS,
     scale: float = 0.8,
 ) -> tuple[np.ndarray, bool]:
     """Estimate the error pattern with the given syndrome via min-sum BP.
@@ -360,18 +349,11 @@ def parity_bisection(
     return work, disclosed, done(work)
 
 
-def _pick_block_len(key_len: int, sizes: tuple[int, ...]) -> int:
-    for size in sorted(sizes, reverse=True):
-        if key_len >= size:
-            return size
-    return sizes[0]
-
-
 def choose_code(params: ReconcileParams, key_len: int) -> str:
-    """Name of the code `correct_errors` uses for a key of `key_len` bits."""
-    block_len = params.block_len or _pick_block_len(key_len, block_sizes(params.rate_label))
-    if params.rate_label != "auto":
-        return code_name(params.rate_label, block_len)
+    """Name of the code `correct_errors` uses for a key of `key_len` bits:
+    the largest block the key fills (the smallest for a shorter key), at
+    the highest rate whose ceiling lies above the estimated QBER."""
+    block_len = max((n for n in _BLOCK_SIZES if n <= key_len), default=_BLOCK_SIZES[0])
     for label, ceiling, min_block in _RATE_CEILINGS:
         if params.est_qber < ceiling and block_len >= min_block:
             return code_name(label, block_len)
@@ -386,13 +368,12 @@ def reconcile_codes(params: ReconcileParams, key_len: int) -> tuple[str, ...]:
     """The codes a round tries in order, each attempt followed by a
     verification; the round stops at the first one that verifies.
 
-    With auto choice and no error seen, the keys are verified before any
-    syndrome is disclosed (rate 1, NO_CODE), and `choose_code`'s code is
-    the fallback when the tags differ. Otherwise the round tries that code
-    alone.
+    With no error seen, the keys are verified before any syndrome is
+    disclosed (rate 1, NO_CODE), and `choose_code`'s code is the fallback
+    when the tags differ. Otherwise the round tries that code alone.
     """
     code = choose_code(params, key_len)
-    if params.rate_label == "auto" and params.est_qber == 0.0:
+    if params.est_qber == 0.0:
         return NO_CODE, code
     return (code,)
 
@@ -431,7 +412,7 @@ def correct_errors(
         syndrome_a = code.syndrome(a_blk)
         leak += code.m  # reference side publishes its block syndrome
         diff = np.bitwise_xor(syndrome_a, code.syndrome(b_blk))
-        err, ok = decode_syndrome(code, diff, params.est_qber, params.max_iterations)
+        err, ok = decode_syndrome(code, diff, params.est_qber)
         if ok:
             fixed = np.bitwise_xor(b_blk, err)
         else:
@@ -445,7 +426,7 @@ def correct_errors(
                 a_real,
                 b_real,
                 max(params.est_qber, 0.05),
-                params.max_bisection_passes,
+                _MAX_BISECTION_PASSES,
                 _syndrome_match,
             )
             leak += extra

@@ -77,7 +77,7 @@ from .postproc import (
     estimate_eavesdropping,
     verify_keys,
 )
-from .postproc.reconcile import _RATE_RULES, NO_CODE, block_sizes, reconcile_codes
+from .postproc.reconcile import NO_CODE, reconcile_codes
 from .postproc.sifting import THRESHOLD_RANGE
 from .protocol import (
     AsymmetricRandom,
@@ -128,21 +128,12 @@ class PostprocParams:
     threshold: float = 0.11
     verify_tag_bits: int = 64
     security_margin: int = 32
-    ldpc_block_len: int = 0
-    code_rate: str = "auto"
 
     def __post_init__(self):
         lo, hi = THRESHOLD_RANGE
         check_field(self, "threshold", lo < self.threshold < hi, f"in ({lo:g}, {hi:g})")
         check_field(self, "verify_tag_bits", self.verify_tag_bits >= 1, ">= 1")
         check_field(self, "security_margin", self.security_margin >= 0, ">= 0")
-        rates = ("auto", *_RATE_RULES)
-        check_field(self, "code_rate", self.code_rate in rates, f"one of {rates}")
-        block_lens = (0, *block_sizes(self.code_rate))
-        check_field(
-            self, "ldpc_block_len", self.ldpc_block_len in block_lens,
-            f"one of {block_lens} with code_rate {self.code_rate!r}",
-        )
 
 
 @dataclass(frozen=True)
@@ -376,6 +367,8 @@ class RoundReport:
 # and never written.
 _ROUND_FIELDS = tuple(f.name for f in fields(RoundReport) if f.name not in ("keys_equal", "verified"))
 ROUND_COLUMNS = tuple("round" if name == "round_no" else name for name in _ROUND_FIELDS)
+# network.csv columns, and the keys of each run_network row
+NETWORK_COLUMNS = ("src", "dst", "policy", "path", "key_len", "exposed_by")
 # the RoundReport field that holds each message-log disclosure category
 _DISCLOSURE_FIELDS = {
     "sifting": "sifting_disclosed",
@@ -593,11 +586,7 @@ def _run_round(
         result.rounds.append(report)
         return STATUS_ABORTED, est.reason
 
-    reconcile = ReconcileParams(
-        est_qber=est.e_x if est.e_x is not None else 0.0,
-        block_len=pp.ldpc_block_len,
-        rate_label=pp.code_rate,
-    )
+    reconcile = ReconcileParams(est_qber=est.e_x)
     public_rng = np.random.default_rng(derive_seed(scenario.master_seed, "public-coins", round_no))
     # Each attempt reconciles (or, with NO_CODE, discloses nothing), then
     # verifies with a fresh seed; every syndrome and tag sent is charged.
@@ -637,7 +626,7 @@ def _run_round(
     verified_a = sifted_a.advanced(KeyStage.VERIFIED)
     verified_b = corrected_b.advanced(KeyStage.VERIFIED)
     leak = report.syndrome_bits + report.verification_bits
-    out_len = compute_final_length(verified_a.length, est.e_x or 0.0, leak, pp.security_margin)
+    out_len = compute_final_length(verified_a.length, est.e_x, leak, pp.security_margin)
     pa_seed = ToeplitzSeed.random(verified_a.length, out_len, public_rng)
     final_a = amplify_privacy(verified_a, pa_seed, out_len)
     final_b = amplify_privacy(verified_b, pa_seed, out_len)
@@ -696,16 +685,11 @@ def run_network(scenario: Scenario, config_dir: Path) -> list[dict]:
     rows = []
     for request, record in records:
         exposed_by = sorted(node for node, keys in exposure.items() if record.key_id in keys)
-        rows.append(
-            {
-                "src": request.src,
-                "dst": request.dst,
-                "policy": request.policy.value,
-                "path": "->".join(record.path),
-                "key_len": request.key_len,
-                "exposed_by": ";".join(exposed_by),
-            }
+        cells = (
+            request.src, request.dst, request.policy.value, "->".join(record.path),
+            request.key_len, ";".join(exposed_by),
         )
+        rows.append(dict(zip(NETWORK_COLUMNS, cells)))
     return rows
 
 
@@ -781,10 +765,9 @@ def write_reports(result: SessionResult, out_dir: Path, write_transcripts: bool 
     summary_path.write_text("\n".join(summary_lines) + "\n")
     written.append(summary_path)
 
-    if result.network_rows:
+    if result.scenario.network is not None:
         net_path = out_dir / "network.csv"
-        # columns are the keys of run_network's rows
-        _write_csv(net_path, tuple(result.network_rows[0]), result.network_rows)
+        _write_csv(net_path, NETWORK_COLUMNS, result.network_rows)
         written.append(net_path)
 
     if write_transcripts:

@@ -1,4 +1,4 @@
-"""Measure the QBER ceiling of an LDPC code rate at the block sizes it ships at.
+"""Measure the QBER ceiling of an LDPC code rate at the block sizes it has codes at.
 
 For each 0.1% QBER step from 1.5% upward, decode `--trials` seeded
 Bernoulli error patterns of one block with `decode_syndrome` at that QBER
@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from qkdkit.postproc.reconcile import _RATE_RULES, block_sizes, code_name, decode_syndrome, load_code
+from qkdkit.postproc.reconcile import _RATE_RULES, available_codes, code_name, decode_syndrome, load_code
 
 FIRST_STEP = 15  # in units of 0.1% QBER
 
@@ -33,10 +33,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("labels", nargs="+", choices=sorted(_RATE_RULES))
     parser.add_argument("--trials", type=int, default=2000)
-    parser.add_argument("--sizes", type=int, nargs="+", help="default: every size the label ships at")
+    parser.add_argument("--sizes", type=int, nargs="+", help="default: every size the label has a code at")
     args = parser.parse_args()
     for label in args.labels:
-        for n in args.sizes or block_sizes(label):
+        sizes = [n for name, (n, _m) in available_codes().items() if name.startswith(f"{label}_")]
+        for n in args.sizes or sizes:
             start, step = time.perf_counter(), FIRST_STEP
             while (failed := failures(label, n, step, args.trials)) == 0:
                 step += 1

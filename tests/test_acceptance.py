@@ -56,6 +56,7 @@ from qkdkit.postproc import (
     correct_errors,
     toeplitz_apply,
 )
+from qkdkit.postproc.reconcile import choose_code
 from qkdkit.protocol import (
     PresharedSequence,
     ProtocolConfig,
@@ -175,7 +176,8 @@ def test_criterion_3_clean_channel_chained_rounds():
 def test_criterion_4_reconciliation_at_design_rate():
     with criterion(4, "4096-bit blocks at 5% error: 99/100 exact, leakage shortens the key"):
         rng = np.random.default_rng(404)
-        params = ReconcileParams(est_qber=0.05, block_len=4096, rate_label="r050")
+        params = ReconcileParams(est_qber=0.05)
+        assert choose_code(params, 4096) == "r050_n4096"
         successes = 0
         leaks = []
         for _ in range(100):

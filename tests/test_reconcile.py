@@ -34,7 +34,6 @@ def keypair(bits_a, bits_b):
 LDPC_GOLDEN = {
     "r050_n256": "ec29ec17f1309149bc2d64f9e06dc64e0d6102cd724756153698a8d375c3b419",
     "r075_n256": "b7bdf4b848cc14c712a06a40e80d8dc5e5cc03e2573c0cb114013f188a085426",
-    "r090_n256": "cd946d9c490bc6fa4db192a7182a28677dfc717d285ff737c1ecf05408a40dcf",
     "r050_n1024": "be569cbbf52b1ef4f95e60f3bc89c5b5e1abc5cf540355ed5b3ce5c55b4c75bc",
     "r075_n1024": "21db3319b13e22728f9cf18489afaf5e05e4279b9ad7bf8c4ec0b7055788dd66",
     "r090_n1024": "c885afa27c2ea554d06007d63813d16516376f8c8223f31fe5a45fa944b19230",
@@ -89,14 +88,16 @@ def test_single_flipped_bit_in_design_block():
     noisy_bits = bits.copy()
     noisy_bits[400] ^= 1
     ref, noisy = keypair(bits, noisy_bits)
-    params = ReconcileParams(est_qber=0.05, block_len=1024, rate_label="r050")
+    params = ReconcileParams(est_qber=0.05)
+    assert choose_code(params, 1024) == "r050_n1024"
     corrected, _ = correct_errors(ref, noisy, params)
     assert np.array_equal(corrected.bits, bits)  # oracle: direct bitwise comparison
 
 
 def test_design_rate_blocks_reconcile_reliably():
     rng = np.random.default_rng(32)
-    params = ReconcileParams(est_qber=0.05, block_len=4096, rate_label="r050")
+    params = ReconcileParams(est_qber=0.05)
+    assert choose_code(params, 4096) == "r050_n4096"
     successes = 0
     for _ in range(20):
         bits = rng.integers(0, 2, 4096, dtype=np.uint8)
@@ -107,17 +108,16 @@ def test_design_rate_blocks_reconcile_reliably():
 
 
 def test_r065_decodes_by_bp_at_its_ceiling():
-    # criterion 4's check at the rate's QBER ceiling: every block comes out
-    # exact and discloses only its syndrome, so parity bisection never ran
+    # criterion 4's check at the rate's QBER ceiling, which code choice
+    # itself never reaches: min-sum alone returns every block's true error
+    # pattern, so parity bisection would never run
     ceiling = next(c for name, c, _ in _RATE_CEILINGS if name == "r065")
-    params = ReconcileParams(est_qber=ceiling, block_len=4096, rate_label="r065")
-    m = load_code("r065_n4096").m
+    code = load_code("r065_n4096")
     rng = np.random.default_rng(39)
     for _ in range(100):
-        bits = rng.integers(0, 2, 4096, dtype=np.uint8)
-        noisy_bits = bits ^ (rng.random(4096) < ceiling).astype(np.uint8)
-        corrected, leak = correct_errors(*keypair(bits, noisy_bits), params)
-        assert np.array_equal(corrected.bits, bits) and leak == m
+        errors = (rng.random(code.n) < ceiling).astype(np.uint8)
+        e_hat, ok = decode_syndrome(code, code.syndrome(errors), ceiling)
+        assert ok and np.array_equal(e_hat, errors)
 
 
 # (params, key length) -> code, on both sides of every QBER ceiling and of
@@ -135,25 +135,19 @@ def test_r065_decodes_by_bp_at_its_ceiling():
     (dict(est_qber=0.034), 4095, "r050_n1024"),
     (dict(est_qber=0.034), 20_000, "r050_n4096"),
     (dict(est_qber=1.0), 4096, "r050_n4096"),
-    (dict(est_qber=0.03, block_len=1024), 20_000, "r050_n1024"),
-    (dict(est_qber=0.03, rate_label="r090"), 300, "r090_n256"),
-    (dict(est_qber=0.03, rate_label="r065"), 300, "r065_n4096"),
 ])
 def test_code_choice(params, key_len, name):
     assert choose_code(ReconcileParams(**params), key_len) == name
 
 
-# Only auto choice with no error seen verifies first; any error estimate
-# or explicit rate goes straight to its code.
+# Only a round with no error seen verifies first; any error estimate goes
+# straight to its code.
 @pytest.mark.parametrize("params, key_len, codes", [
     (dict(est_qber=0.0), 3306, ("none", "r090_n1024")),
     (dict(est_qber=0.0), 300, ("none", "r075_n256")),
-    (dict(est_qber=0.0, block_len=4096), 20_000, ("none", "r090_n4096")),
     (dict(est_qber=0.0), 0, ("none", "r075_n256")),
     (dict(est_qber=0.00005), 3306, ("r090_n1024",)),
     (dict(est_qber=0.03), 20_000, ("r065_n4096",)),
-    (dict(est_qber=0.0, rate_label="r090"), 3306, ("r090_n1024",)),
-    (dict(est_qber=0.0, rate_label="r050"), 3306, ("r050_n1024",)),
 ])
 def test_reconcile_codes(params, key_len, codes):
     assert reconcile_codes(ReconcileParams(**params), key_len) == codes
@@ -198,7 +192,6 @@ def test_decoder_declares_failure_honestly():
 DECODE_GOLDEN = {
     "r050_n256": ("ba65efcce24596e3eacfc32af6f38088606fe21831d520bdf1685b65ffc4eaed", 8),
     "r075_n256": ("a1e5140bd246b34832086d27a3bf1a6e351990423e6d5722336ba51f419a8ee2", 5),
-    "r090_n256": ("464ef44e48d06a78d055a4caf482e8d57bd8031a26576f5665b1dac569e4e014", 3),
     "r050_n1024": ("11d17d83f58ac2eb290816373b8783a4f676c39354520293f6af909b56e63884", 7),
     "r075_n1024": ("742b245476d33227f8fda6b52910d7ce77ef5907c39179e288df129e701c5fbf", 4),
     "r090_n1024": ("d8afaf3a8d08603d5c330f454cf0a468d13b3380578c30db38d9ee152e27385c", 2),
@@ -252,7 +245,8 @@ def test_posterior_adds_in_add_at_order(name):
 
 def test_fallback_rescues_decoder_failures():
     rng = np.random.default_rng(35)
-    params = ReconcileParams(est_qber=0.09, block_len=1024, rate_label="r050")
+    params = ReconcileParams(est_qber=0.09)
+    assert choose_code(params, 1024) == "r050_n1024"
     rescued = 0
     for _ in range(10):
         bits = rng.integers(0, 2, 1024, dtype=np.uint8)
@@ -288,20 +282,18 @@ def test_forced_decode_failure_raises():
     rng = np.random.default_rng(38)
     bits = rng.integers(0, 2, 1024, dtype=np.uint8)
     noisy_bits = bits ^ (rng.random(1024) < 0.35).astype(np.uint8)
-    params = ReconcileParams(
-        est_qber=0.35, block_len=1024, rate_label="r050", max_bisection_passes=1
-    )
+    params = ReconcileParams(est_qber=0.35)
+    assert choose_code(params, 1024) == "r050_n1024"
     with pytest.raises(DecodeFailureError):
         correct_errors(*keypair(bits, noisy_bits), params)
 
 
-def test_rate_without_a_shipped_block_len_is_rejected():
-    with pytest.raises(ValueError, match="r065 ships only at block_len"):
-        ReconcileParams(est_qber=0.03, block_len=1024, rate_label="r065")
-
-
 def test_code_registry_contents():
     names = available_codes()
+    assert set(names) == {
+        "r050_n256", "r050_n1024", "r050_n4096", "r075_n256", "r075_n1024", "r075_n4096",
+        "r090_n1024", "r090_n4096", "r065_n4096",
+    }
     assert code_name("r050", 4096) in names
     assert names["r050_n4096"] == (4096, 2048)
     assert names["r090_n1024"] == (1024, 102)

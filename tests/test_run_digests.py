@@ -31,21 +31,21 @@ CI_CONFIGS = {
 # file's master_seed), the CI inline configs, and `<workload>@<seed>` for
 # bench/workloads.py (noisy-bulk seed 20 ends in a zero-padded tail block).
 RUN_DIGESTS = {
-    "clean_channel@own": "ce40735c4b5fe2a5aa5926c1873c52a5de3b35240a694dcc6449f33e17cf6d0b",
-    "clean_channel@3": "949262fe70cb24b9dab11fe16a35482bad60a79b23f46b699c6243f195deddd1",
-    "clean_channel@11": "bda51829434d714db078aae71a15834301fbc2832eac4dbdb39d4d46f17294a1",
-    "full_intercept@own": "0302d61ed756c7850d51b09496d7ed4e155369953fa32bab69a1d11b4ed884a5",
-    "full_intercept@3": "c97a3328a3942143bfa5ca77e6201815a0752aa71f4ab305887053b061423945",
-    "full_intercept@11": "09d6bb17f01707ab786f63b56faced909c06da8205f1f334999be33855820bb1",
-    "relay_network@own": "efcff7fe09ace597f62dfe3d75b3ff8bb5864bcbe7279eb6000654f710fa8755",
-    "relay_network@3": "ca9d51acdf3f446d7195ec1ba43cfd99fc14f1df6c76ecaad24b6f2d34d4735d",
-    "relay_network@11": "95ec06ec0977dbaf19d8953d03d3c2f7b34f369320a34ec97c9366c226495dcc",
-    "ci-exit3": "5415f595eb310b5049f9c03e03594633319e9bb58cf4bd94bffd3a9c5981b702",
-    "ci-noisy": "52617a69efc2d63ceab2cebb08e4a2593728ed3d1716963220cdf8e7eaf6da20",
-    "clean-chain@3": "72b9d73876b2643b6437e6cc00db989a714cb03e6df873acd99b34a81d0bea46",
-    "noisy-bulk@3": "9b5456d072e5782e50df1cc326a2ff3cee26b5909fc8c6cd025ffe966f3ea45b",
-    "noisy-bulk@20": "affa553893be93faac681db2699c4353ddde5e8196325c270608ed6f03561845",
-    "relay-mesh@3": "ff89a407e0742066b6f6a6709f2466ba73c7238dadf76c51f02bb8c7dec79dc8",
+    "clean_channel@own": "87c66262725fa00f71a08059a70609fcce925d8dafc2056f3403c61884fb2985",
+    "clean_channel@3": "2c05dfc917e070d786e0453651209e72c32de3a4a53f31f53df6ceec652e70de",
+    "clean_channel@11": "cba74dcb07f14ff642b6f3d0b7b9d45bec4fee6f38dbb3411dba8c66a685c91f",
+    "full_intercept@own": "dae00ae0e12cfa73cd0fb66565ff3b43003518b99edc7230a773b5054ee58304",
+    "full_intercept@3": "eda4aa3f6fd8750db22652726bdae65cf22d30ca5ac2dfebf66d118430bec141",
+    "full_intercept@11": "b6e8328f30a6e73cf83bac4607102447e4083b2e4404fc9643c8ca7e61d65e66",
+    "relay_network@own": "37c9326175357399d7a67751ce81fa8734e5cb32e37389fa6e7824251e8b1d21",
+    "relay_network@3": "3bc21cef3aaaf14ffec07c379897858937b51baf34055a0bf712b233828940ef",
+    "relay_network@11": "5ad64884c047fadfcb313e6de4b3a8b1246b32081fb2697130b762abd6a2e014",
+    "ci-exit3": "a7fc70cf3e3e340a522773ddf855a5101228d58e1ec1638db9e074943cfd388f",
+    "ci-noisy": "9389e05139a71ec2b76d5089a092a0cd717f135f9afe4986b18bd57ba22e900c",
+    "clean-chain@3": "2dd792274869d22896fa75118ee1cfc235acd17c717cff1bf811b29ce9bb6b46",
+    "noisy-bulk@3": "bd978ad4e96209de7d671815a4908b1ebdd43378dbbf6bea1c57463381ffbba3",
+    "noisy-bulk@20": "0cb751ecb3fb2f0400fe6db0206850a920c6eb76c6c5ef61ea102e0bfec023da",
+    "relay-mesh@3": "edacab0ebd3e1accb78f0a179c279b1025d6e6039e233ca879af0136f9ab7a61",
 }
 
 

@@ -1,12 +1,14 @@
 import copy
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qkdkit.auth import AuthMode
 from qkdkit.cli import main
+from qkdkit.network import HybridPolicy, NetworkRequestError, NetworkState, hybrid_establish, parse_topology
 from qkdkit.postproc import load_code
 from qkdkit.protocol import ProtocolConfig, SymmetricRandom
 from qkdkit.scenario import (
@@ -31,6 +33,9 @@ from qkdkit.scenario import (
     sweep,
     write_reports,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def base_config(**overrides) -> dict:
@@ -76,10 +81,7 @@ CANONICAL_BASE = {
     "protocol": {"n_pulses": 16384, "decoy_probability": 0.1, "strategy": {"mode": "symmetric"}},
     "channel": {"transmittance": 0.9, "misalignment_error": 0.0, "decoy_detect_scale": 1.0},
     "eve": {"kind": "none", "fraction": 0.0},
-    "postproc": {
-        "threshold": 0.11, "verify_tag_bits": 64, "security_margin": 32,
-        "ldpc_block_len": 0, "code_rate": "auto",
-    },
+    "postproc": {"threshold": 0.11, "verify_tag_bits": 64, "security_margin": 32},
     "auth": {
         "mode": "ots_bootstrap", "reserve_bits": 2048, "preshared_pool_bits": 0,
         "ots_keypairs": 12, "ots_security_bits": 128, "ots_digest_bits": 128,
@@ -150,6 +152,9 @@ REJECTED_CONFIGS = [
         "", "protocol/", "protocol/strategy/", "channel/", "eve/", "postproc/", "auth/",
         "network/", "network/requests/0/",
     )),
+    # the code-choice overrides that reconciliation no longer takes
+    rejected("postproc/code_rate", "auto"),
+    rejected("postproc/ldpc_block_len", 0),
     rejected("protocol/strategy/extra", 1, ASYMMETRIC),
     rejected("protocol/strategy/extra", 1, PRESHARED),
     # required fields
@@ -163,21 +168,21 @@ REJECTED_CONFIGS = [
         "master_seed", "rounds", "protocol/n_pulses", "protocol/decoy_probability",
         "channel/transmittance", "channel/misalignment_error", "channel/decoy_detect_scale",
         "eve/fraction", "postproc/threshold", "postproc/verify_tag_bits",
-        "postproc/security_margin", "postproc/ldpc_block_len", "auth/reserve_bits",
+        "postproc/security_margin", "auth/reserve_bits",
         "auth/preshared_pool_bits", "auth/ots_keypairs", "auth/ots_security_bits",
         "auth/ots_digest_bits", "auth/mac_tag_bits", "auth/mac_word_bits",
         "network/requests/0/key_len",
     )),
     rejected("protocol/strategy/p_z", "0.5", ASYMMETRIC),
     *(rejected(path, 1) for path in (
-        "name", "protocol/strategy/mode", "eve/kind", "postproc/code_rate", "auth/mode",
+        "name", "protocol/strategy/mode", "eve/kind", "auth/mode",
         "auth/ots_scheme", "network/topology_file", "network/requests/0/src",
         "network/requests/0/dst", "network/requests/0/policy",
     )),
     rejected("protocol/strategy/shared_seed_hex", 255, PRESHARED),
     *(rejected(path, True) for path in (
         "master_seed", "rounds", "protocol/n_pulses", "postproc/verify_tag_bits",
-        "postproc/security_margin", "postproc/ldpc_block_len", "auth/reserve_bits",
+        "postproc/security_margin", "auth/reserve_bits",
         "auth/preshared_pool_bits", "auth/ots_keypairs", "auth/ots_security_bits",
         "auth/ots_digest_bits", "auth/mac_tag_bits", "auth/mac_word_bits",
         "network/requests/0/key_len", "protocol/decoy_probability", "channel/transmittance",
@@ -200,7 +205,6 @@ REJECTED_CONFIGS = [
         ("eve/kind", "active"), ("eve/fraction", 1.5),
         ("postproc/threshold", 0), ("postproc/threshold", 0.5),
         ("postproc/verify_tag_bits", 0), ("postproc/security_margin", -1),
-        ("postproc/ldpc_block_len", 512), ("postproc/code_rate", "r060"),
         ("auth/mode", "none"), ("auth/reserve_bits", -1), ("auth/preshared_pool_bits", -1),
         ("auth/ots_keypairs", 0), ("auth/ots_security_bits", 4), ("auth/ots_security_bits", 264),
         ("auth/ots_digest_bits", 0), ("auth/ots_digest_bits", 257), ("auth/ots_scheme", "xmss"),
@@ -215,7 +219,7 @@ REJECTED_CONFIGS = [
     *(rejected(path, value) for path, value in (
         ("master_seed", 7.0), ("rounds", 2.0), ("protocol/n_pulses", 4096.0),
         ("postproc/verify_tag_bits", 64.0), ("postproc/security_margin", 32.0),
-        ("postproc/ldpc_block_len", 256.0), ("auth/reserve_bits", 2048.0),
+        ("auth/reserve_bits", 2048.0),
         ("auth/preshared_pool_bits", 0.0), ("auth/ots_keypairs", 12.0),
         ("auth/ots_security_bits", 128.0), ("auth/ots_digest_bits", 128.0),
         ("auth/mac_tag_bits", 64.0), ("auth/mac_word_bits", 64.0),
@@ -253,13 +257,6 @@ def test_invalid_config_is_rejected_naming_the_field(tmp_path, capsys, path, val
     config.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
     assert re.match(f"error: {names_path}", capsys.readouterr().err)
-
-
-def test_code_rate_without_a_shipped_block_len_is_rejected():
-    scenario_from_dict(base_config(postproc={"code_rate": "r065", "ldpc_block_len": 4096}))
-    cfg = base_config(postproc={"code_rate": "r065", "ldpc_block_len": 1024})
-    with pytest.raises(ConfigError, match="config field postproc/ldpc_block_len: "):
-        scenario_from_dict(cfg)
 
 
 def test_clean_session_produces_equal_verified_keys():
@@ -339,16 +336,6 @@ def test_error_unseen_by_the_estimate_falls_back_to_the_syndrome(monkeypatch):
     first, second = (json.loads(m.payload)["seed"] for m in result.messages if m.label == "verify")
     assert first != second
     _assert_log_matches_report(result)
-
-
-def test_explicit_code_rate_discloses_its_syndrome_on_a_clean_channel():
-    result = run_session(scenario_from_dict(base_config(postproc={"code_rate": "r090"})))
-    assert result.status == STATUS_OK
-    (row,) = result.rounds
-    assert row.e_x == 0.0 and row.verified and row.keys_equal
-    assert row.syndrome_bits == _r090_syndrome_bits(row.n_sifted) > 0
-    assert row.verification_bits == 64
-    assert _reconcile_codes(result, 1) == ["r090_n1024"]
 
 
 def test_noisy_link_discloses_one_rate_065_syndrome_per_block():
@@ -577,6 +564,20 @@ def test_unsatisfiable_network_request_is_a_config_error(tmp_path):
         run_scenario(scenario_from_dict(cfg), config_dir=tmp_path)
 
 
+@pytest.mark.parametrize("policy", [policy.value for policy in HybridPolicy])
+def test_self_addressed_request_is_rejected_under_every_policy(tmp_path, capsys, policy):
+    state = NetworkState(parse_topology((CONFIGS / "metro.topo").read_text()))
+    with pytest.raises(NetworkRequestError, match="^source and destination coincide$"):
+        hybrid_establish(state, "alice", "alice", HybridPolicy(policy), 128)
+
+    request = {"src": "alice", "dst": "alice", "policy": policy, "key_len": 128}
+    network = {"topology_file": str(CONFIGS / "metro.topo"), "requests": [request]}
+    config = tmp_path / "self.json"
+    config.write_text(json.dumps(base_config(network=network)))
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert "source and destination coincide" in capsys.readouterr().err
+
+
 def test_transcript_files_roundtrip(tmp_path):
     from qkdkit.protocol import parse_transcript
 
@@ -620,9 +621,10 @@ ROUNDS_HEADER = (
 )
 
 
-def _hand_built_result(rounds: list[RoundReport], **kwargs) -> SessionResult:
+def _hand_built_result(rounds: list[RoundReport], network=None, **kwargs) -> SessionResult:
+    cfg = base_config(rounds=3) if network is None else base_config(rounds=3, network=network)
     return SessionResult(
-        scenario=scenario_from_dict(base_config(rounds=3)),
+        scenario=scenario_from_dict(cfg),
         rounds=rounds,
         messages=[],
         application_keys=[],
@@ -648,7 +650,8 @@ def test_write_reports_formats(tmp_path):
         "key_len": 64, "exposed_by": "A;B",
     }
     result = _hand_built_result(
-        [ok, aborted], status=STATUS_ABORTED, reason="empty-sample", network_rows=[network_row]
+        [ok, aborted], NETWORK_SECTION, status=STATUS_ABORTED, reason="empty-sample",
+        network_rows=[network_row],
     )
     written = write_reports(result, tmp_path)
     assert [path.name for path in written] == ["report.json", "rounds.csv", "summary.txt", "network.csv"]
@@ -685,7 +688,7 @@ def test_write_reports_formats(tmp_path):
     assert (report["status"], report["reason"], report["exit_code"]) == (
         STATUS_ABORTED, "empty-sample", EXIT_ABORTED
     )
-    assert report["scenario"] == CANONICAL_BASE | {"rounds": 3}
+    assert report["scenario"] == CANONICAL_BASE | {"rounds": 3, "network": NETWORK_SECTION}
     assert (tmp_path / "network.csv").read_text() == (
         "src,dst,policy,path,key_len,exposed_by\nA,B,hybrid_xor,A->R->B,64,A;B\n"
     )
@@ -697,3 +700,12 @@ def test_write_reports_without_rounds(tmp_path):
     assert [path.name for path in written] == ["report.json", "rounds.csv", "summary.txt"]
     assert (tmp_path / "rounds.csv").read_text() == ROUNDS_HEADER
     assert json.loads((tmp_path / "report.json").read_text())["rounds"] == []
+
+
+def test_network_section_without_requests_writes_a_header_only_csv(tmp_path):
+    # network.csv is written whenever the scenario has a network section
+    network = {"topology_file": str(CONFIGS / "metro.topo"), "requests": []}
+    out = tmp_path / "out"
+    result = run_scenario(scenario_from_dict(base_config(network=network)), out_dir=out)
+    assert result.exit_code == EXIT_OK and result.network_rows == []
+    assert (out / "network.csv").read_text() == "src,dst,policy,path,key_len,exposed_by\n"
