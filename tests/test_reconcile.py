@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -135,6 +136,10 @@ def test_r065_decodes_by_bp_at_its_ceiling():
     (dict(est_qber=0.034), 4095, "r050_n1024"),
     (dict(est_qber=0.034), 20_000, "r050_n4096"),
     (dict(est_qber=1.0), 4096, "r050_n4096"),
+    # rate and size pairs that no estimate reaches fall to the next rate
+    (dict(est_qber=0.03), 1024, "r050_n1024"),
+    (dict(est_qber=0.0), 300, "r075_n256"),
+    (dict(est_qber=0.03), 300, "r050_n256"),
 ])
 def test_code_choice(params, key_len, name):
     assert choose_code(ReconcileParams(**params), key_len) == name
@@ -145,12 +150,53 @@ def test_code_choice(params, key_len, name):
 @pytest.mark.parametrize("params, key_len, codes", [
     (dict(est_qber=0.0), 3306, ("none", "r090_n1024")),
     (dict(est_qber=0.0), 300, ("none", "r075_n256")),
+    (dict(est_qber=0.0), 20_000, ("none", "r090_n4096")),
     (dict(est_qber=0.0), 0, ("none", "r075_n256")),
     (dict(est_qber=0.00005), 3306, ("r090_n1024",)),
     (dict(est_qber=0.03), 20_000, ("r065_n4096",)),
+    (dict(est_qber=0.003), 3306, ("r075_n1024",)),
+    (dict(est_qber=1.0), 0, ("r050_n256",)),
 ])
 def test_reconcile_codes(params, key_len, codes):
     assert reconcile_codes(ReconcileParams(**params), key_len) == codes
+
+
+def _ceiling(label: str) -> float:
+    return next(c for name, c, _ in _RATE_CEILINGS if name == label)
+
+
+# Every code that exists is the choice for a key of its own block length at
+# an estimate just under its rate's ceiling.
+@pytest.mark.parametrize("name", sorted(LDPC_GOLDEN))
+def test_each_code_is_chosen_just_under_its_ceiling(name):
+    label, n = name.split("_n")[0], int(name.split("_n")[1])
+    params = ReconcileParams(est_qber=_ceiling(label) - 0.0001)
+    assert choose_code(params, n) == name
+    assert load_code(name).n == n
+
+
+def test_code_choice_picks_exactly_the_available_codes():
+    # estimates at 0 and on both sides of every ceiling, keys on both sides
+    # of every block size
+    estimates = {0.0} | {q for _, c, _ in _RATE_CEILINGS for q in (c - 0.0001, c)}
+    key_lens = (0, 255, 256, 1023, 1024, 4095, 4096, 20_000)
+    picked = {choose_code(ReconcileParams(est_qber=q), k) for q in estimates for k in key_lens}
+    assert picked == set(available_codes())
+
+
+# a rate below its smallest block size is never chosen, so it has no code
+@pytest.mark.parametrize("name", ["r090_n256", "r065_n256", "r065_n1024"])
+def test_codes_below_a_rates_smallest_block_do_not_exist(name):
+    with pytest.raises(ValueError, match="unknown code"):
+        load_code(name)
+
+
+def test_reconcile_params_hold_only_the_estimate():
+    assert [f.name for f in dataclasses.fields(ReconcileParams)] == ["est_qber"]
+    with pytest.raises(TypeError):
+        ReconcileParams(est_qber=0.05, block_len=4096)
+    with pytest.raises(ValueError):
+        ReconcileParams(est_qber=1.5)
 
 
 def test_padding_and_multiple_chunks():
