@@ -11,9 +11,8 @@ the next round's authentication. The forgery probability is bounded by
 2^-t plus L * 2^-w for an L-block message.
 
 The very first round, which has no shared secret yet, is authenticated
-with hash-based one-time signatures (Lamport or Winternitz hash chains over
-SHA-256); once a final key exists, part of it refills the pool and the MAC
-takes over.
+with hash-based Lamport one-time signatures over SHA-256; once a final key
+exists, part of it refills the pool and the MAC takes over.
 """
 from __future__ import annotations
 
@@ -191,6 +190,8 @@ def wc_tag(message: bytes, pool: AuthKeyPool, tag_bits: int = 64, word_bits: int
     """
     if tag_bits < 1:
         raise ValueError("tag_bits must be positive")
+    if word_bits not in _GF_MODULI:
+        raise ValueError(f"word_bits must be one of {sorted(_GF_MODULI)}")
     segment, handle = pool.consume(pool_cost_per_tag(tag_bits, word_bits), "mac-tag")
     tag = _tag_from_segment(message, segment, tag_bits, word_bits)
     return MacTag(tag=tag, seed_handle=handle, tag_bits=tag_bits, word_bits=word_bits)
@@ -224,20 +225,13 @@ def wc_verify(message: bytes, tag: MacTag, pool: AuthKeyPool) -> VerifyResult:
 
 
 # ---------------------------------------------------------------------------
-# Hash-based one-time signatures over SHA-256. A keypair is a list of hash
-# chains: the secret holds their starts, the public key their ends, and a
-# signature reveals one point on some of them, which the verifier hashes
-# forward to the chain's end. Lamport (the default) has two one-step chains
-# per digest bit, chain 2i for bit value 0 and 2i+1 for 1, and reveals the
-# start of the one the bit selects. Winternitz has one (2^window - 1)-step
-# chain per window-bit digest chunk plus checksum chunks, and reveals the
-# point `chunk` steps from the start; the checksum sum(top - chunk) forces
-# any digest tampering to lower at least one chunk, which a forger cannot
-# do without inverting a chain.
+# Lamport one-time signatures over SHA-256. A keypair has two secret values
+# per digest bit, chain 2i for bit value 0 and chain 2i+1 for 1; the public
+# key holds the SHA-256 image (the chain end) of each. A signature reveals
+# the secret of the chain each digest bit selects, and the verifier hashes
+# it once and compares it with that chain's end.
 
-SCHEME_LAMPORT = "lamport"
-SCHEME_WINTERNITZ = "winternitz"
-# accepted key sizes; the scenario config checks against these too
+# accepted key sizes
 OTS_SECURITY_BITS = range(8, 257, 8)
 OTS_DIGEST_BITS = range(1, 257)
 
@@ -252,60 +246,29 @@ def _ots_hash(data: bytes, out_bits: int) -> bytes:
     return hashlib.sha256(data).digest()[: (out_bits + 7) // 8]
 
 
-def _chain(value: bytes, steps: int, security_bits: int) -> bytes:
-    for _ in range(steps):
-        value = _ots_hash(value, security_bits)
-    return value
-
-
-def _chain_shape(scheme: str, digest_bits: int, window: int) -> tuple[int, int, int]:
-    """(number of chains, hash steps from a chain's start to its end, window);
-    Lamport has no window and reports 0."""
-    if digest_bits not in OTS_DIGEST_BITS:
-        raise ValueError(f"digest_bits must lie {_range_text(OTS_DIGEST_BITS)}")
-    if scheme == SCHEME_LAMPORT:
-        return 2 * digest_bits, 1, 0
-    if scheme != SCHEME_WINTERNITZ:
-        raise ValueError(f"unknown signature scheme {scheme!r}")
-    if not 1 <= window <= 8:
-        raise ValueError("window must lie in [1, 8]")
-    top = (1 << window) - 1
-    n_chunks = -(-digest_bits // window)
-    # enough window-bit checksum chunks to hold the largest sum, n_chunks * top
-    n_checksum = max(1, -(-(n_chunks * top).bit_length() // window))
-    return n_chunks + n_checksum, top, window
-
-
 @dataclass(frozen=True)
 class OtsPublicKey:
-    """Chain ends in chain order, with the parameters that fix each chain's
-    length and which point a message reveals. A verifier takes these from
+    """Chain ends in chain order, with the sizes that fix how many chains
+    there are and which ones a message selects. A verifier takes these from
     the key, never from the signature it checks."""
 
     ends: tuple[bytes, ...]
     security_bits: int
     digest_bits: int
-    scheme: str = SCHEME_LAMPORT
-    window: int = 0
 
     def __post_init__(self) -> None:
         if self.security_bits not in OTS_SECURITY_BITS:
             raise ValueError(f"security_bits must be {_range_text(OTS_SECURITY_BITS)}")
-        n_chains, _, window = _chain_shape(self.scheme, self.digest_bits, self.window)
+        if self.digest_bits not in OTS_DIGEST_BITS:
+            raise ValueError(f"digest_bits must lie {_range_text(OTS_DIGEST_BITS)}")
         n_bytes = self.security_bits // 8
-        if window != self.window or len(self.ends) != n_chains or any(len(e) != n_bytes for e in self.ends):
+        if len(self.ends) != 2 * self.digest_bits or any(len(e) != n_bytes for e in self.ends):
             raise ValueError("chain ends do not match the key's parameters")
 
-    def revealed_points(self, message: bytes) -> list[tuple[int, int]]:
-        """(chain, steps from its start) of each value a signature reveals."""
-        n_chains, top, window = _chain_shape(self.scheme, self.digest_bits, self.window)
+    def revealed_chains(self, message: bytes) -> list[int]:
+        """The chain whose secret a signature reveals, per digest bit."""
         digest = hashlib.sha256(message).digest()
-        if self.scheme == SCHEME_LAMPORT:
-            return [(2 * i + bit, 0) for i, bit in enumerate(_blocks(digest, self.digest_bits, 1))]
-        chunks = list(_blocks(digest, self.digest_bits, window))
-        checksum = sum(top - c for c in chunks)
-        chunks += [(checksum >> (window * i)) & top for i in reversed(range(n_chains - len(chunks)))]
-        return list(enumerate(chunks))
+        return [2 * i + bit for i, bit in enumerate(_blocks(digest, self.digest_bits, 1))]
 
 
 @dataclass
@@ -323,81 +286,63 @@ class OtsSignature:
     revealed: list[bytes]
 
 
-def ots_keygen(
-    rng: np.random.Generator,
-    security_bits: int = 128,
-    digest_bits: int = 128,
-    scheme: str = SCHEME_LAMPORT,
-    window: int = 4,
-) -> OtsKeypair:
+def ots_keygen(rng: np.random.Generator, security_bits: int = 128, digest_bits: int = 128) -> OtsKeypair:
     """Generate a one-time keypair; the public half is exportable."""
-    n_chains, length, window = _chain_shape(scheme, digest_bits, window)
     n_bytes = security_bits // 8
-    # one draw of the words that n_chains calls of rng.bytes(n_bytes) would take
-    words = rng.integers(0, 2**32, size=(n_chains, -(-n_bytes // 4)), dtype=np.uint32)
+    # one draw of the words that 2 * digest_bits calls of rng.bytes(n_bytes) would take
+    words = rng.integers(0, 2**32, size=(2 * digest_bits, -(-n_bytes // 4)), dtype=np.uint32)
     secret = [row.tobytes()[:n_bytes] for row in words.astype("<u4")]
-    ends = tuple(_chain(start, length, security_bits) for start in secret)
-    return OtsKeypair(secret, OtsPublicKey(ends, security_bits, digest_bits, scheme, window))
+    ends = tuple(_ots_hash(start, security_bits) for start in secret)
+    return OtsKeypair(secret, OtsPublicKey(ends, security_bits, digest_bits))
 
 
 def ots_sign(message: bytes, keypair: OtsKeypair) -> OtsSignature:
-    """Reveal one point per digest bit or chunk; marks the key used."""
+    """Reveal one chain start per digest bit; marks the key used."""
     if keypair.used:
         raise KeyReuseError("one-time signing key has already signed a message")
     keypair.used = True
-    public = keypair.public
-    points = public.revealed_points(message)
-    return OtsSignature([_chain(keypair.secret[c], steps, public.security_bits) for c, steps in points])
+    return OtsSignature([keypair.secret[c] for c in keypair.public.revealed_chains(message)])
 
 
 def ots_verify(message: bytes, sig: OtsSignature, public: OtsPublicKey) -> bool:
-    """Hash each revealed value forward and compare it with its chain's end."""
-    _, length, _ = _chain_shape(public.scheme, public.digest_bits, public.window)
-    points = public.revealed_points(message)
-    if len(sig.revealed) != len(points):
+    """Hash each revealed value once and compare it with its chain's end."""
+    chains = public.revealed_chains(message)
+    if len(sig.revealed) != len(chains):
         return False
     return all(
-        len(value) == len(public.ends[c])
-        and _chain(value, length - steps, public.security_bits) == public.ends[c]
-        for value, (c, steps) in zip(sig.revealed, points)
+        len(value) == len(public.ends[c]) and _ots_hash(value, public.security_bits) == public.ends[c]
+        for value, c in zip(sig.revealed, chains)
     )
 
 
-_OTS_MAGIC = {SCHEME_LAMPORT: b"OTP1", SCHEME_WINTERNITZ: b"OTW1"}
+_OTS_MAGIC = b"OTP1"
+_OTS_HEADER_LEN = 12
 
 
 def export_ots_public(keypair: OtsKeypair) -> bytes:
-    """Serialize the public key.
-
-    Lamport: `OTP1`, lambda and L as uint32 BE. Winternitz: `OTW1`, lambda,
-    L and window as uint32 BE. Then the chain ends in chain order.
-    """
+    """Serialize the public key: `OTP1`, lambda and L as uint32 BE, then the
+    chain ends in chain order."""
     public = keypair.public
-    header = [public.security_bits, public.digest_bits]
-    if public.scheme == SCHEME_WINTERNITZ:
-        header.append(public.window)
-    fields = b"".join(value.to_bytes(4, "big") for value in header)
-    return _OTS_MAGIC[public.scheme] + fields + b"".join(public.ends)
+    fields = public.security_bits.to_bytes(4, "big") + public.digest_bits.to_bytes(4, "big")
+    return _OTS_MAGIC + fields + b"".join(public.ends)
 
 
 def import_ots_public(blob: bytes) -> OtsPublicKey:
     """Parse an exported public key, its parameters included."""
-    scheme = next((s for s, magic in _OTS_MAGIC.items() if blob[:4] == magic), None)
-    header_len = 16 if scheme == SCHEME_WINTERNITZ else 12
-    if scheme is None or len(blob) < header_len:
+    if blob[:4] != _OTS_MAGIC or len(blob) < _OTS_HEADER_LEN:
         raise ValueError("not a recognized one-time-signature public key blob")
     security_bits = int.from_bytes(blob[4:8], "big")
     digest_bits = int.from_bytes(blob[8:12], "big")
-    window = int.from_bytes(blob[12:header_len], "big")  # 0 for Lamport, which has no window
     if not security_bits or security_bits % 8:
         raise ValueError("malformed public key blob header")
-    n_chains, _, _ = _chain_shape(scheme, digest_bits, window)
+    if digest_bits not in OTS_DIGEST_BITS:
+        raise ValueError(f"digest_bits must lie {_range_text(OTS_DIGEST_BITS)}")
     n_bytes = security_bits // 8
-    expected = header_len + n_chains * n_bytes
+    expected = _OTS_HEADER_LEN + 2 * digest_bits * n_bytes
     if len(blob) != expected:
         raise ValueError(f"malformed public key blob: expected {expected} bytes, got {len(blob)}")
-    ends = tuple(blob[off : off + n_bytes] for off in range(header_len, expected, n_bytes))
-    return OtsPublicKey(ends, security_bits, digest_bits, scheme, window)
+    ends = tuple(blob[off : off + n_bytes] for off in range(_OTS_HEADER_LEN, expected, n_bytes))
+    return OtsPublicKey(ends, security_bits, digest_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +402,9 @@ class OtsContext:
 
     @classmethod
     def generate(
-        cls,
-        count: int,
-        rng: np.random.Generator,
-        security_bits: int = 128,
-        digest_bits: int = 128,
-        scheme: str = SCHEME_LAMPORT,
-        window: int = 4,
+        cls, count: int, rng: np.random.Generator, security_bits: int = 128, digest_bits: int = 128
     ) -> "OtsContext":
-        return cls(
-            keypairs=[
-                ots_keygen(rng, security_bits, digest_bits, scheme, window) for _ in range(count)
-            ]
-        )
+        return cls(keypairs=[ots_keygen(rng, security_bits, digest_bits) for _ in range(count)])
 
 
 def bootstrap_round_auth(

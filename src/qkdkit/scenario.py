@@ -36,14 +36,8 @@ from .auth import (
     AuthMode,
     CannotAuthenticateError,
     InsufficientKeyError,
-    OTS_DIGEST_BITS,
-    OTS_SECURITY_BITS,
     OtsContext,
     PoolExhaustedError,
-    SCHEME_LAMPORT,
-    SCHEME_WINTERNITZ,
-    _GF_MODULI,
-    _range_text,
     bootstrap_round_auth,
     export_ots_public,
     grow_keys,
@@ -142,28 +136,17 @@ class AuthParams:
     reserve_bits: int = 2048
     preshared_pool_bits: int = 0
     ots_keypairs: int = 12
-    ots_security_bits: int = 128
-    ots_digest_bits: int = 128
-    ots_scheme: str = SCHEME_LAMPORT
-    mac_tag_bits: int = 64
-    mac_word_bits: int = 64
 
     def __post_init__(self):
-        modes, schemes = ("ots_bootstrap", "preshared_pool"), (SCHEME_LAMPORT, SCHEME_WINTERNITZ)
+        modes = ("ots_bootstrap", "preshared_pool")
         check_field(self, "mode", self.mode in modes, f"one of {modes}")
         check_field(self, "reserve_bits", self.reserve_bits >= 0, ">= 0")
-        pool_min = int(self.mode == "preshared_pool")
-        pool_ok = self.preshared_pool_bits >= pool_min
-        check_field(self, "preshared_pool_bits", pool_ok, f">= {pool_min} in {self.mode} mode")
+        # preshared_pool mode runs on the pre-shared pool; ots_bootstrap mode reads none
+        preshared = self.mode == "preshared_pool"
+        pool_ok = self.preshared_pool_bits >= 1 if preshared else self.preshared_pool_bits == 0
+        pool_rule = ">= 1 in preshared_pool mode" if preshared else "0 in ots_bootstrap mode"
+        check_field(self, "preshared_pool_bits", pool_ok, pool_rule)
         check_field(self, "ots_keypairs", self.ots_keypairs >= 1, ">= 1")
-        security_ok = self.ots_security_bits in OTS_SECURITY_BITS
-        check_field(self, "ots_security_bits", security_ok, _range_text(OTS_SECURITY_BITS))
-        digest_ok = self.ots_digest_bits in OTS_DIGEST_BITS
-        check_field(self, "ots_digest_bits", digest_ok, _range_text(OTS_DIGEST_BITS))
-        check_field(self, "ots_scheme", self.ots_scheme in schemes, f"one of {schemes}")
-        check_field(self, "mac_tag_bits", self.mac_tag_bits >= 1, ">= 1")
-        word_ok = self.mac_word_bits in _GF_MODULI
-        check_field(self, "mac_word_bits", word_ok, f"one of {list(_GF_MODULI)}")
 
 
 @dataclass(frozen=True)
@@ -408,7 +391,6 @@ class _Messenger:
     round's authentication mode to every message and logs it."""
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
         self.pools = {"alice": AuthKeyPool(), "bob": AuthKeyPool()}
         self.ots: dict[str, OtsContext | None] = {"alice": None, "bob": None}
         self.mode: AuthMode | None = None
@@ -421,13 +403,7 @@ class _Messenger:
             return
         for party in self.ots:
             rng = np.random.default_rng(derive_seed(scenario.master_seed, "ots", party))
-            self.ots[party] = OtsContext.generate(
-                auth.ots_keypairs,
-                rng,
-                auth.ots_security_bits,
-                auth.ots_digest_bits,
-                scheme=auth.ots_scheme,
-            )
+            self.ots[party] = OtsContext.generate(auth.ots_keypairs, rng)
         # Public halves cross over through the export/import wire format.
         for party, peer in (("alice", "bob"), ("bob", "alice")):
             self.ots[party].peer_publics = [
@@ -447,12 +423,7 @@ class _Messenger:
         payload = _encode_payload(fields)
         receiver = "bob" if sender == "alice" else "alice"
         if self.mode is AuthMode.WEGMAN_CARTER:
-            tag = wc_tag(
-                payload,
-                self.pools[sender],
-                tag_bits=self.scenario.auth.mac_tag_bits,
-                word_bits=self.scenario.auth.mac_word_bits,
-            )
+            tag = wc_tag(payload, self.pools[sender])
             result = wc_verify(payload, tag, self.pools[receiver])
             if not result.accepted:
                 raise CannotAuthenticateError(f"message {label!r} rejected: {result.reason}")

@@ -17,7 +17,6 @@ from qkdkit.auth import (
     REJECT_TAG_MISMATCH,
     _GF_MODULI,
     _blocks,
-    _chain,
     bootstrap_round_auth,
     export_ots_public,
     grow_keys,
@@ -145,6 +144,13 @@ def test_pool_sized_for_one_tag_exhausts_on_second():
         wc_tag(b"one too many", pool, tag_bits=16, word_bits=16)
 
 
+def test_rejected_word_size_leaves_the_pool_untouched():
+    pool = AuthKeyPool(np.ones(1000, np.uint8))
+    with pytest.raises(ValueError):
+        wc_tag(b"x", pool, tag_bits=16, word_bits=12)
+    assert pool.available_bits == 1000 and pool.consumption_log == []
+
+
 def test_pool_one_time_discipline_is_auditable():
     alice, bob = mirrored_pools(8192)
     for i in range(6):
@@ -237,84 +243,24 @@ def test_ots_public_key_wire_format_roundtrip():
         import_ots_public(blob[:-1])
     with pytest.raises(ValueError):
         import_ots_public(b"XXXX" + blob[4:])
-
-
-def test_winternitz_roundtrip_and_reuse():
-    rng = np.random.default_rng(52)
-    kp = ots_keygen(rng, security_bits=64, digest_bits=64, scheme="winternitz", window=4)
-    # 16 digest chunks + 2 checksum chunks at window 4 (max checksum 240 < 2^8)
-    assert len(kp.public.ends) == 18
-    sig = ots_sign(b"chained announcement", kp)
-    assert ots_verify(b"chained announcement", sig, kp.public)
-    assert not ots_verify(b"chained announcemenu", sig, kp.public)
-    with pytest.raises(KeyReuseError):
-        ots_sign(b"again", kp)
-
-
-def test_winternitz_rejects_perturbed_messages():
-    rng = np.random.default_rng(53)
-    kp = ots_keygen(rng, security_bits=64, digest_bits=64, scheme="winternitz", window=4)
-    message = bytearray(b"checksum chains stop chunk inflation")
-    sig = ots_sign(bytes(message), kp)
-    rejected = 0
-    for _ in range(300):
-        tampered = bytearray(message)
-        pos = int(rng.integers(0, len(tampered)))
-        tampered[pos] ^= 1 << int(rng.integers(0, 8))
-        rejected += not ots_verify(bytes(tampered), sig, kp.public)
-    assert rejected == 300
-
-
-def test_winternitz_wire_format_roundtrip():
-    rng = np.random.default_rng(54)
-    kp = ots_keygen(rng, security_bits=64, digest_bits=48, scheme="winternitz", window=4)
-    blob = export_ots_public(kp)
-    assert blob[:4] == b"OTW1"
-    public = import_ots_public(blob)
-    assert public == kp.public and public.security_bits == 64 and public.digest_bits == 48
-    with pytest.raises(ValueError):
-        import_ots_public(blob[:-1])
-
-
-def test_signature_cannot_pick_the_chain_shape():
-    # A Winternitz key at window 4 over a 64-bit digest has 18 chains, as many
-    # as a Lamport key over a 9-bit digest. Hashing each revealed Winternitz
-    # value forward to one step before its chain's end gives a valid Lamport
-    # signature for any message whose 9 selected chains all had chunk < 15.
-    rng = np.random.default_rng(56)
-    kp = ots_keygen(rng, security_bits=64, digest_bits=64, scheme="winternitz", window=4)
-    sig = ots_sign(b"signed once", kp)
-    chunks = [steps for _, steps in kp.public.revealed_points(b"signed once")]
-    as_lamport = OtsPublicKey(kp.public.ends, security_bits=64, digest_bits=9)
-    forged = 0
-    for n in range(40):
-        message = b"forged %d" % n
-        points = as_lamport.revealed_points(message)
-        if any(chunks[c] == 15 for c, _ in points):
-            continue
-        revealed = [_chain(sig.revealed[c], 14 - chunks[c], 64) for c, _ in points]
-        forgery = OtsSignature(revealed)
-        # the forgery is genuine under the Lamport shape ...
-        assert ots_verify(message, forgery, as_lamport)
-        # ... and rejected under the key's own parameters, as sent on the wire
-        assert not ots_verify(message, forgery, kp.public)
-        assert not ots_verify(message, forgery, import_ots_public(export_ots_public(kp)))
-        forged += 1
-    assert forged >= 10
+    # a header whose sizes no key has: lambda 12, then L 0 and 257
+    for header in ((12).to_bytes(4, "big") + blob[8:12], blob[4:8] + bytes(4), blob[4:8] + (257).to_bytes(4, "big")):
+        with pytest.raises(ValueError):
+            import_ots_public(b"OTP1" + header + blob[12:])
 
 
 def test_public_key_must_match_its_parameters():
-    kp = ots_keygen(np.random.default_rng(57), security_bits=64, digest_bits=48, scheme="winternitz", window=4)
+    kp = ots_keygen(np.random.default_rng(57), security_bits=64, digest_bits=48)
     ends = kp.public.ends
+    assert OtsPublicKey(ends, 64, 48) == kp.public
     with pytest.raises(ValueError):
-        OtsPublicKey(ends[:-1], 64, 48, "winternitz", 4)
+        OtsPublicKey(ends[:-1], 64, 48)
     with pytest.raises(ValueError):
-        OtsPublicKey(ends, 64, 48, "lamport", 4)
+        OtsPublicKey(ends, 64, 47)
     with pytest.raises(ValueError):
-        OtsPublicKey(tuple(end[:-1] for end in ends), 64, 48, "winternitz", 4)
+        OtsPublicKey(tuple(end[:-1] for end in ends), 64, 48)
     with pytest.raises(ValueError):
         OtsPublicKey((), 64, 0)
-    assert ots_keygen(np.random.default_rng(57), 64, 48, "lamport", 4).public.window == 0
 
 
 def test_ots_keygen_draws_the_bytes_of_one_call_per_chain():
@@ -328,62 +274,21 @@ def test_ots_keygen_draws_the_bytes_of_one_call_per_chain():
 
 
 # SHA-256 of the exported public key and of the joined revealed values of
-# ots_sign(b"golden", kp), for ots_keygen(default_rng(7), 64, 48, scheme, window)
-OTS_GOLDEN = {
-    ("lamport", 4): (
-        "05f24f1147a930952fc9dd2ea80b101d868eb0c23dc4c759b00ca397256ec30c",
-        "7bf7613aea9930ef46f9f5ff501cfa8d1265a74d733d4787db0ec595c6fe7b8c",
-    ),
-    ("winternitz", 1): (
-        "8a6183595e35daefc3c223d6b773bb9e442c85f39ecd1112a3be2a4a1997a01a",
-        "2dc3d9cba67411f1023f0af70322358516b0c628f14b4b9524b38c21b2551efa",
-    ),
-    ("winternitz", 3): (
-        "5e543fa1c1298724c252bc57392bc4546d9f22f51d4d8782f0317ac38b7bb1d0",
-        "2fbd0a9cbe4caf0bb58c61d13340702abc11be29e3b80c4f9f2a99951a95bf90",
-    ),
-    ("winternitz", 4): (
-        "a30a1b2a0591442a3cfcf08a18422ef7e13247d0686dbc7bd0a49d153e214aa3",
-        "a2289bb2464c2073040404f7eeb8d2d4f9e690c7dba452b945b5630909ac0a20",
-    ),
-    # 48 is not a multiple of 5: the last digest chunk is zero-padded
-    ("winternitz", 5): (
-        "f677ee4035eb119b4112361351961ccf1338facd59d0b60aa01bf16a819de9a8",
-        "050ae1932e2edc850d3bb2c9d5775ec0a9943acc483c268b0fa839e1418a7e8f",
-    ),
-    ("winternitz", 8): (
-        "6344b32a470c24b072f887201c36bf14f8d1fd215642fb63a215bbe8fe426929",
-        "b4a09adda867fcaf2b545eb3fa982338997f43d7812ac6618fe8269242bbdef9",
-    ),
-}
+# ots_sign(b"golden", kp), for ots_keygen(default_rng(7), 64, 48)
+OTS_GOLDEN = (
+    "05f24f1147a930952fc9dd2ea80b101d868eb0c23dc4c759b00ca397256ec30c",
+    "7bf7613aea9930ef46f9f5ff501cfa8d1265a74d733d4787db0ec595c6fe7b8c",
+)
 
 
-@pytest.mark.parametrize("scheme,window", sorted(OTS_GOLDEN))
-def test_ots_golden(scheme, window):
-    kp = ots_keygen(np.random.default_rng(7), security_bits=64, digest_bits=48, scheme=scheme, window=window)
+def test_ots_golden():
+    kp = ots_keygen(np.random.default_rng(7), security_bits=64, digest_bits=48)
     blob = export_ots_public(kp)
     sig = ots_sign(b"golden", kp)
-    want_public, want_signature = OTS_GOLDEN[scheme, window]
+    want_public, want_signature = OTS_GOLDEN
     assert hashlib.sha256(blob).hexdigest() == want_public
     assert hashlib.sha256(b"".join(sig.revealed)).hexdigest() == want_signature
     assert ots_verify(b"golden", sig, import_ots_public(blob))
-
-
-def test_winternitz_sessions_bootstrap_like_lamport():
-    from qkdkit.scenario import run_session, scenario_from_dict
-
-    cfg = {
-        "name": "wots",
-        "master_seed": 55,
-        "rounds": 2,
-        "protocol": {"n_pulses": 16384, "decoy_probability": 0.1, "strategy": {"mode": "symmetric"}},
-        "channel": {"transmittance": 0.9},
-        "auth": {"mode": "ots_bootstrap", "reserve_bits": 2048, "ots_scheme": "winternitz"},
-    }
-    result = run_session(scenario_from_dict(cfg))
-    assert result.status == "ok"
-    assert result.rounds[0].auth_mode == "ots"
-    assert result.rounds[1].auth_mode == "wegman-carter"
 
 
 def test_grow_keys_split_arithmetic():

@@ -31,21 +31,21 @@ CI_CONFIGS = {
 # file's master_seed), the CI inline configs, and `<workload>@<seed>` for
 # bench/workloads.py (noisy-bulk seed 20 ends in a zero-padded tail block).
 RUN_DIGESTS = {
-    "clean_channel@own": "87c66262725fa00f71a08059a70609fcce925d8dafc2056f3403c61884fb2985",
-    "clean_channel@3": "2c05dfc917e070d786e0453651209e72c32de3a4a53f31f53df6ceec652e70de",
-    "clean_channel@11": "cba74dcb07f14ff642b6f3d0b7b9d45bec4fee6f38dbb3411dba8c66a685c91f",
-    "full_intercept@own": "dae00ae0e12cfa73cd0fb66565ff3b43003518b99edc7230a773b5054ee58304",
-    "full_intercept@3": "eda4aa3f6fd8750db22652726bdae65cf22d30ca5ac2dfebf66d118430bec141",
-    "full_intercept@11": "b6e8328f30a6e73cf83bac4607102447e4083b2e4404fc9643c8ca7e61d65e66",
-    "relay_network@own": "37c9326175357399d7a67751ce81fa8734e5cb32e37389fa6e7824251e8b1d21",
-    "relay_network@3": "3bc21cef3aaaf14ffec07c379897858937b51baf34055a0bf712b233828940ef",
-    "relay_network@11": "5ad64884c047fadfcb313e6de4b3a8b1246b32081fb2697130b762abd6a2e014",
-    "ci-exit3": "a7fc70cf3e3e340a522773ddf855a5101228d58e1ec1638db9e074943cfd388f",
-    "ci-noisy": "9389e05139a71ec2b76d5089a092a0cd717f135f9afe4986b18bd57ba22e900c",
-    "clean-chain@3": "2dd792274869d22896fa75118ee1cfc235acd17c717cff1bf811b29ce9bb6b46",
-    "noisy-bulk@3": "bd978ad4e96209de7d671815a4908b1ebdd43378dbbf6bea1c57463381ffbba3",
-    "noisy-bulk@20": "0cb751ecb3fb2f0400fe6db0206850a920c6eb76c6c5ef61ea102e0bfec023da",
-    "relay-mesh@3": "edacab0ebd3e1accb78f0a179c279b1025d6e6039e233ca879af0136f9ab7a61",
+    "clean_channel@own": "eea86b3e5bf8c5a6aa8d5e452e5fa14561ef6dc4e44f71636689c021d0ca8e3d",
+    "clean_channel@3": "caa2af7034881f19b71f79f6ddf46006f02bbc8b35a133a46d44bddced3ef0d0",
+    "clean_channel@11": "10d62455e102b0e8012209c70ff46a1d1bde0d2a09c1358c3f5f3ea6398a0a26",
+    "full_intercept@own": "68f26d1eaa91b07f0485d5701a76d5ec8434a8abcf7cca6b29383de1da7bb77d",
+    "full_intercept@3": "b3aeb4ba6016d62089138cc9ef153b090d4a56eafb74c92c2ab63123c8a52c98",
+    "full_intercept@11": "518a98675e579f888bdd5c9458779e6a4bc58018758ab8ee12fd895eba144ee0",
+    "relay_network@own": "9d3006e6c241e96278d4dece2be88e53c1a24e1cfd499aa981acea0fe965c790",
+    "relay_network@3": "5f611bbedc6befeca956dea9adbbeeeda7178437d830b9f5b2a1cd908d6b8c12",
+    "relay_network@11": "6a6c1ee38bce35df193a7b528424de7e570a42cf39233b33178c54cb12de535c",
+    "ci-exit3": "32ff216055a0e8e990c9d0b18ac291abb24b14ec4a3cefa828449502d86e4d50",
+    "ci-noisy": "061456a392d7ab11b36d4e84199c620a3cff77429680e10632cc094b7ed2301f",
+    "clean-chain@3": "ee6eeca39d0e83c64cea86ccaa56053e2756267aefb4102a160566f6ad76d3e2",
+    "noisy-bulk@3": "63f21e5e1923c9d5f20db25af176cb4f0f78942ddcea1bd8abfee75adbfe2754",
+    "noisy-bulk@20": "07deefc08416840dbd4270b020584205485620f6310c9522c00f23ec29d09bdb",
+    "relay-mesh@3": "d7cf86145933917cb28172a76246094cd72c30a1244b94c386832da455c0d1d0",
 }
 
 

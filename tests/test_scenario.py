@@ -84,8 +84,7 @@ CANONICAL_BASE = {
     "postproc": {"threshold": 0.11, "verify_tag_bits": 64, "security_margin": 32},
     "auth": {
         "mode": "ots_bootstrap", "reserve_bits": 2048, "preshared_pool_bits": 0,
-        "ots_keypairs": 12, "ots_security_bits": 128, "ots_digest_bits": 128,
-        "ots_scheme": "lamport", "mac_tag_bits": 64, "mac_word_bits": 64,
+        "ots_keypairs": 12,
     },
 }
 NETWORK_SECTION = {
@@ -115,13 +114,9 @@ NETWORK_SECTION = {
             {"eve": {"kind": "intercept_resend", "fraction": 0.25}},
             {"eve": {"kind": "intercept_resend", "fraction": 0.25}},
         ),
-        (
-            {"auth": {"ots_scheme": "winternitz", "mac_word_bits": 16}},
-            {"auth": {**CANONICAL_BASE["auth"], "ots_scheme": "winternitz", "mac_word_bits": 16}},
-        ),
         ({"network": NETWORK_SECTION}, {"network": NETWORK_SECTION}),
     ],
-    ids=["symmetric", "asymmetric", "preshared", "intercept-resend", "winternitz", "network"],
+    ids=["symmetric", "asymmetric", "preshared", "intercept-resend", "network"],
 )
 def test_round_trip_through_canonical_dict(overrides, expected_sections):
     scenario = scenario_from_dict(base_config(**overrides))
@@ -155,6 +150,11 @@ REJECTED_CONFIGS = [
     # the code-choice overrides that reconciliation no longer takes
     rejected("postproc/code_rate", "auto"),
     rejected("postproc/ldpc_block_len", 0),
+    # the authentication sizes and scheme that every run now fixes
+    *(rejected(f"auth/{key}", value) for key, value in (
+        ("ots_security_bits", 128), ("ots_digest_bits", 128), ("ots_scheme", "lamport"),
+        ("mac_tag_bits", 64), ("mac_word_bits", 64),
+    )),
     rejected("protocol/strategy/extra", 1, ASYMMETRIC),
     rejected("protocol/strategy/extra", 1, PRESHARED),
     # required fields
@@ -169,22 +169,19 @@ REJECTED_CONFIGS = [
         "channel/transmittance", "channel/misalignment_error", "channel/decoy_detect_scale",
         "eve/fraction", "postproc/threshold", "postproc/verify_tag_bits",
         "postproc/security_margin", "auth/reserve_bits",
-        "auth/preshared_pool_bits", "auth/ots_keypairs", "auth/ots_security_bits",
-        "auth/ots_digest_bits", "auth/mac_tag_bits", "auth/mac_word_bits",
-        "network/requests/0/key_len",
+        "auth/preshared_pool_bits", "auth/ots_keypairs", "network/requests/0/key_len",
     )),
     rejected("protocol/strategy/p_z", "0.5", ASYMMETRIC),
     *(rejected(path, 1) for path in (
         "name", "protocol/strategy/mode", "eve/kind", "auth/mode",
-        "auth/ots_scheme", "network/topology_file", "network/requests/0/src",
+        "network/topology_file", "network/requests/0/src",
         "network/requests/0/dst", "network/requests/0/policy",
     )),
     rejected("protocol/strategy/shared_seed_hex", 255, PRESHARED),
     *(rejected(path, True) for path in (
         "master_seed", "rounds", "protocol/n_pulses", "postproc/verify_tag_bits",
         "postproc/security_margin", "auth/reserve_bits",
-        "auth/preshared_pool_bits", "auth/ots_keypairs", "auth/ots_security_bits",
-        "auth/ots_digest_bits", "auth/mac_tag_bits", "auth/mac_word_bits",
+        "auth/preshared_pool_bits", "auth/ots_keypairs",
         "network/requests/0/key_len", "protocol/decoy_probability", "channel/transmittance",
         "channel/misalignment_error", "channel/decoy_detect_scale", "eve/fraction",
         "postproc/threshold",
@@ -206,9 +203,7 @@ REJECTED_CONFIGS = [
         ("postproc/threshold", 0), ("postproc/threshold", 0.5),
         ("postproc/verify_tag_bits", 0), ("postproc/security_margin", -1),
         ("auth/mode", "none"), ("auth/reserve_bits", -1), ("auth/preshared_pool_bits", -1),
-        ("auth/ots_keypairs", 0), ("auth/ots_security_bits", 4), ("auth/ots_security_bits", 264),
-        ("auth/ots_digest_bits", 0), ("auth/ots_digest_bits", 257), ("auth/ots_scheme", "xmss"),
-        ("auth/mac_tag_bits", 0), ("auth/mac_word_bits", 12),
+        ("auth/ots_keypairs", 0),
         ("network/requests/0/policy", "quantum"), ("network/requests/0/key_len", 0),
     )),
     rejected("protocol/strategy/p_z", 0, ASYMMETRIC),
@@ -221,11 +216,11 @@ REJECTED_CONFIGS = [
         ("postproc/verify_tag_bits", 64.0), ("postproc/security_margin", 32.0),
         ("auth/reserve_bits", 2048.0),
         ("auth/preshared_pool_bits", 0.0), ("auth/ots_keypairs", 12.0),
-        ("auth/ots_security_bits", 128.0), ("auth/ots_digest_bits", 128.0),
-        ("auth/mac_tag_bits", 64.0), ("auth/mac_word_bits", 64.0),
-        ("network/requests/0/key_len", 256.0), ("auth/ots_security_bits", 12),
+        ("network/requests/0/key_len", 256.0),
     )),
     rejected("auth/preshared_pool_bits", 0, {"mode": "preshared_pool", "preshared_pool_bits": 4096}),
+    # ots_bootstrap mode never reads a pre-shared pool
+    rejected("auth/preshared_pool_bits", 4096),
     rejected("protocol/strategy/p_z", DELETE, ASYMMETRIC),
     rejected("protocol/strategy/shared_seed_hex", DELETE, PRESHARED),
     rejected("protocol/strategy/shared_seed_hex", "abc", PRESHARED),
