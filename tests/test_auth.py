@@ -144,11 +144,27 @@ def test_pool_sized_for_one_tag_exhausts_on_second():
         wc_tag(b"one too many", pool, tag_bits=16, word_bits=16)
 
 
-def test_rejected_word_size_leaves_the_pool_untouched():
+@pytest.mark.parametrize("tag_bits,word_bits", [(16, 12), (16, 0), (16, 128), (0, 64), (-8, 64)])
+def test_rejected_tag_size_leaves_the_pool_untouched(tag_bits, word_bits):
+    # a rejected call must not move the pool ahead of its mirror
     pool = AuthKeyPool(np.ones(1000, np.uint8))
     with pytest.raises(ValueError):
-        wc_tag(b"x", pool, tag_bits=16, word_bits=12)
+        wc_tag(b"x", pool, tag_bits=tag_bits, word_bits=word_bits)
     assert pool.available_bits == 1000 and pool.consumption_log == []
+
+
+@pytest.mark.parametrize("word_bits", sorted(_GF_MODULI))
+def test_mac_at_every_word_width(word_bits):
+    # runs tag at t = w = 64; the smaller fields serve the exhaustive tests
+    cost = pool_cost_per_tag(word_bits, word_bits)
+    alice, bob = mirrored_pools(3 * cost, seed=word_bits)
+    tag = wc_tag(b"announcement", alice, tag_bits=word_bits, word_bits=word_bits)
+    assert alice.available_bits == 2 * cost and tag.seed_handle.length == cost
+    assert wc_verify(b"announcement", tag, bob).accepted
+    tampered = wc_tag(b"announcement", alice, tag_bits=word_bits, word_bits=word_bits)
+    result = wc_verify(b"announcemenu", tampered, bob)
+    assert not result.accepted and result.reason == REJECT_TAG_MISMATCH
+    assert alice.available_bits == bob.available_bits == cost
 
 
 def test_pool_one_time_discipline_is_auditable():
@@ -239,14 +255,40 @@ def test_ots_public_key_wire_format_roundtrip():
     public = import_ots_public(blob)
     assert public == kp.public and public.security_bits == 128 and public.digest_bits == 96
     assert export_ots_public(kp) == blob  # bit-exact
+
+
+def ots_blob(security_bits: int, digest_bits: int, n_bytes: int, magic: bytes = b"OTP1") -> bytes:
+    """A public-key blob with the given header and 2 * digest_bits ends of n_bytes."""
+    header = security_bits.to_bytes(4, "big") + digest_bits.to_bytes(4, "big")
+    return magic + header + bytes(2 * digest_bits * n_bytes)
+
+
+MALFORMED_OTS_BLOBS = {
+    "empty": b"",
+    "magic-only": b"OTP1",
+    "short-header": ots_blob(64, 16, 8)[:11],
+    "unknown-magic": ots_blob(64, 16, 8, magic=b"XXXX"),
+    # the retired Winternitz key format
+    "winternitz-magic": ots_blob(64, 16, 8, magic=b"OTW1"),
+    "security-zero": ots_blob(0, 16, 0),
+    "security-not-whole-bytes": ots_blob(12, 16, 1),
+    "security-too-large": ots_blob(264, 16, 33),
+    "digest-zero": ots_blob(64, 0, 8),
+    "digest-too-large": ots_blob(64, 257, 8),
+    "one-byte-short": ots_blob(64, 16, 8)[:-1],
+    "one-byte-over": ots_blob(64, 16, 8) + b"\0",
+}
+
+
+def test_ots_blob_builds_a_valid_key():
+    # so each malformed case below differs from a valid key only where it names
+    assert import_ots_public(ots_blob(64, 16, 8)).ends == (bytes(8),) * 32
+
+
+@pytest.mark.parametrize("blob", MALFORMED_OTS_BLOBS.values(), ids=MALFORMED_OTS_BLOBS.keys())
+def test_import_ots_public_rejects_malformed_blobs(blob):
     with pytest.raises(ValueError):
-        import_ots_public(blob[:-1])
-    with pytest.raises(ValueError):
-        import_ots_public(b"XXXX" + blob[4:])
-    # a header whose sizes no key has: lambda 12, then L 0 and 257
-    for header in ((12).to_bytes(4, "big") + blob[8:12], blob[4:8] + bytes(4), blob[4:8] + (257).to_bytes(4, "big")):
-        with pytest.raises(ValueError):
-            import_ots_public(b"OTP1" + header + blob[12:])
+        import_ots_public(blob)
 
 
 def test_public_key_must_match_its_parameters():
@@ -274,18 +316,42 @@ def test_ots_keygen_draws_the_bytes_of_one_call_per_chain():
 
 
 # SHA-256 of the exported public key and of the joined revealed values of
-# ots_sign(b"golden", kp), for ots_keygen(default_rng(7), 64, 48)
-OTS_GOLDEN = (
-    "05f24f1147a930952fc9dd2ea80b101d868eb0c23dc4c759b00ca397256ec30c",
-    "7bf7613aea9930ef46f9f5ff501cfa8d1265a74d733d4787db0ec595c6fe7b8c",
-)
+# ots_sign(b"golden", kp), for ots_keygen(default_rng(7), security_bits, digest_bits);
+# (128, 128) is the size every run signs with
+OTS_GOLDEN = {
+    (8, 1): (
+        "836c978c57475f1f6038983d8dd3f4dfc0cc31a86748968c804de6d38667b3c6",
+        "9e8e8c37a53bac77a653d590b783b2508e8ed2fed040a278bf4f4703bbd5d82d",
+    ),
+    (32, 32): (
+        "79c501e3d90e3c73c0c7f2a8ea04e2aee171f81fb0463f6a3f83dcbebf9d7be0",
+        "ca9011729893b323cd2dbf1fe82aba09a0896c420ad6fd8763aa22b3b70a10b4",
+    ),
+    (64, 48): (
+        "05f24f1147a930952fc9dd2ea80b101d868eb0c23dc4c759b00ca397256ec30c",
+        "7bf7613aea9930ef46f9f5ff501cfa8d1265a74d733d4787db0ec595c6fe7b8c",
+    ),
+    (128, 96): (
+        "3cad768702de85d6654378f6db326572571d0a34abd925af3dd2f756d8225103",
+        "2871d3e4ae066eca203b168ff44065fef44013c86e343e79d645e74a4cb1d223",
+    ),
+    (128, 128): (
+        "d513a26fe9a5d862c3918c4cbd14613347141b51acc0f5ea77abf2341bcaf55e",
+        "1c65b21b6308befe6617411a0c74396c9eba021684b34a11db6aa7a2517f62a2",
+    ),
+    (256, 256): (
+        "48999a5170f9e4625f08758333257fc3c173f5b4e44188b7c3f00d72269c2aa0",
+        "68f938d9c3879c9e883a1eeed57280454f9dee3956a115c20eb8e2dceafcab87",
+    ),
+}
 
 
-def test_ots_golden():
-    kp = ots_keygen(np.random.default_rng(7), security_bits=64, digest_bits=48)
+@pytest.mark.parametrize("security_bits,digest_bits", sorted(OTS_GOLDEN))
+def test_ots_golden(security_bits, digest_bits):
+    kp = ots_keygen(np.random.default_rng(7), security_bits=security_bits, digest_bits=digest_bits)
     blob = export_ots_public(kp)
     sig = ots_sign(b"golden", kp)
-    want_public, want_signature = OTS_GOLDEN
+    want_public, want_signature = OTS_GOLDEN[security_bits, digest_bits]
     assert hashlib.sha256(blob).hexdigest() == want_public
     assert hashlib.sha256(b"".join(sig.revealed)).hexdigest() == want_signature
     assert ots_verify(b"golden", sig, import_ots_public(blob))

@@ -73,6 +73,17 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["run", "--config", str(missing)]) == EXIT_CONFIG_ERROR
 
 
+def test_retired_auth_settings_exit_one(tmp_path, capsys):
+    # runs tag at t = w = 64 and sign with Lamport 128/128 keys; a config
+    # that still sets one of the old knobs fails at load
+    for key, value in (("ots_security_bits", 128), ("ots_digest_bits", 128), ("ots_scheme", "lamport"),
+                       ("mac_tag_bits", 64), ("mac_word_bits", 64)):
+        cfg = write_config(tmp_path, auth={"mode": "ots_bootstrap", key: value})
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert f"config field auth/{key}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_sweep_writes_ascending_csv(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "swp"
