@@ -3,12 +3,21 @@
 Every classical message is tagged individually. The workhorse is a
 Wegman-Carter MAC fed from a pool of pre-shared (or quantum-grown) secret
 bits: the message is first compressed to one word with a polynomial hash
-over GF(2^w) keyed by a pool-drawn point, the word is mapped to the tag
-length by a pool-seeded Toeplitz matrix, and the result is one-time-padded
-with fresh pool bits. Each tag therefore costs 2w + 2t - 1 pool bits
-regardless of message size, which is what lets a session's final key fund
-the next round's authentication. The forgery probability is bounded by
-2^-t plus L * 2^-w for an L-block message.
+over GF(2^w) keyed by a point alpha, the word is mapped to the tag length
+by a Toeplitz matrix, and the result is one-time-padded with fresh pool
+bits. The hash key (alpha and the Toeplitz seed, 2w + t - 1 bits) is drawn
+once per round as a `MacKey`, which builds its multiplication tables and
+its matrix once; each message then costs only its t-bit pad. At t = w = 64
+a round of n messages spends 191 + 64n pool bits, which is what lets a
+session's final key fund the next round's authentication.
+
+A substituted message is accepted with probability at most
+2^-t + L * 2^-w, L blocks being the longer of the two messages. Only the
+pad has to be fresh for that bound to hold per message (Wegman and Carter,
+JCSS 22(3), 1981): recycling the hash key over a round adds the messages'
+bounds, so a round fails with probability at most their sum (Portmann,
+IEEE TIT 60(7), 2014). A rejected message ends the session, so a recycled
+key never authenticates anything after a failed verification.
 
 The very first round, which has no shared secret yet, is authenticated
 with hash-based Lamport one-time signatures over SHA-256; once a final key
@@ -26,7 +35,6 @@ import numpy as np
 
 from .bits import as_bits, bits_to_int, int_to_bits
 from .keys import KeyMaterial, KeyReuseError, KeyStage
-from .postproc.distill import ToeplitzSeed, toeplitz_apply
 
 # Verified-irreducible moduli for GF(2^w); value includes the x^w term.
 _GF_MODULI = {
@@ -96,7 +104,11 @@ def poly_compress(message: bytes, alpha: int, word_bits: int) -> int:
     """
     if word_bits not in _GF_MODULI:
         raise ValueError(f"word_bits must be one of {sorted(_GF_MODULI)}")
-    tables = _mul_tables(alpha, word_bits)
+    return _horner(message, _mul_tables(alpha, word_bits), word_bits)
+
+
+def _horner(message: bytes, tables: list[tuple[int, list[int]]], word_bits: int) -> int:
+    """poly_compress with alpha's tables already built."""
     acc = (8 * len(message)) % (1 << word_bits)
     for block in _blocks(message, 8 * len(message), word_bits):
         # acc <- alpha * acc ^ block
@@ -157,44 +169,68 @@ class AuthKeyPool:
         self._bits = np.concatenate([self._bits, as_bits(bits)])
 
 
+def mac_key_bits(tag_bits: int, word_bits: int) -> int:
+    """Secret bits of one MAC hash key: alpha plus the Toeplitz seed."""
+    return 2 * word_bits + tag_bits - 1
+
+
+class MacKey:
+    """A round's MAC hash key as one party holds it.
+
+    It is alpha's multiplication tables and the t x w Toeplitz matrix, both
+    built once from the pool segment [alpha | Toeplitz seed]. Every message
+    of the round is hashed with them; only the pad is drawn per message.
+    """
+
+    def __init__(self, segment: np.ndarray, tag_bits: int, word_bits: int):
+        self.tag_bits = tag_bits
+        self.word_bits = word_bits
+        self._tables = _mul_tables(bits_to_int(segment[:word_bits]), word_bits)
+        # T[i, j] = seed[i - j + w - 1], as in postproc.distill.toeplitz_apply
+        seed = segment[word_bits:]
+        self._toeplitz = seed[np.arange(tag_bits)[:, None] - np.arange(word_bits) + word_bits - 1]
+
+    @classmethod
+    def draw(cls, pool: AuthKeyPool, tag_bits: int = 64, word_bits: int = 64) -> "MacKey":
+        """Consume one hash key from the pool; sizes are checked first."""
+        if tag_bits < 1:
+            raise ValueError("tag_bits must be positive")
+        if word_bits not in _GF_MODULI:
+            raise ValueError(f"word_bits must be one of {sorted(_GF_MODULI)}")
+        segment, _ = pool.consume(mac_key_bits(tag_bits, word_bits), "mac-key")
+        return cls(segment, tag_bits, word_bits)
+
+    def hash(self, message: bytes) -> np.ndarray:
+        """The message's t hash bits, before the pad."""
+        word = int_to_bits(_horner(message, self._tables, self.word_bits), self.word_bits)
+        return (self._toeplitz @ word) & 1  # each sum is at most w, so uint8 holds it
+
+    def _check_length(self, message: bytes) -> None:
+        """Reject a message of 2^w bits or more: its length block would wrap,
+        and at w = 4 b"" and b"\x00\x00" would get one tag under every key."""
+        if 8 * len(message) >= 1 << self.word_bits:
+            raise ValueError(f"a {self.word_bits}-bit MAC word takes messages under 2^{self.word_bits} bits")
+
+
 @dataclass(frozen=True)
 class MacTag:
-    """A Wegman-Carter tag plus the pool segment that produced it."""
+    """A Wegman-Carter tag plus the pool segment of its pad."""
 
     tag: np.ndarray
     seed_handle: SegmentHandle
-    tag_bits: int
-    word_bits: int
 
 
-def pool_cost_per_tag(tag_bits: int, word_bits: int) -> int:
-    """Secret bits consumed per message: hash seeds plus the one-time pad."""
-    return 2 * word_bits + 2 * tag_bits - 1
+def wc_tag(message: bytes, pool: AuthKeyPool, key: MacKey) -> MacTag:
+    """Authenticate a message with the round's hash key and a fresh pad.
 
-
-def _tag_from_segment(message: bytes, segment: np.ndarray, tag_bits: int, word_bits: int) -> np.ndarray:
-    alpha = bits_to_int(segment[:word_bits])
-    toeplitz_bits = segment[word_bits : 2 * word_bits + tag_bits - 1]
-    pad = segment[2 * word_bits + tag_bits - 1 :]
-    word = poly_compress(message, alpha, word_bits)
-    word_vec = int_to_bits(word, word_bits)
-    hashed = toeplitz_apply(ToeplitzSeed(toeplitz_bits), word_vec, tag_bits)
-    return np.bitwise_xor(hashed, pad)
-
-
-def wc_tag(message: bytes, pool: AuthKeyPool, tag_bits: int = 64, word_bits: int = 64) -> MacTag:
-    """Authenticate a message, consuming fresh seed and pad bits from the pool.
-
-    Raises PoolExhaustedError when the reserve cannot fund the tag, which
-    signals that key growing failed to set aside enough material.
+    Raises ValueError for a message the key cannot hash and
+    PoolExhaustedError when the reserve cannot fund the pad, which signals
+    that key growing failed to set aside enough material; neither consumes
+    anything.
     """
-    if tag_bits < 1:
-        raise ValueError("tag_bits must be positive")
-    if word_bits not in _GF_MODULI:
-        raise ValueError(f"word_bits must be one of {sorted(_GF_MODULI)}")
-    segment, handle = pool.consume(pool_cost_per_tag(tag_bits, word_bits), "mac-tag")
-    tag = _tag_from_segment(message, segment, tag_bits, word_bits)
-    return MacTag(tag=tag, seed_handle=handle, tag_bits=tag_bits, word_bits=word_bits)
+    key._check_length(message)
+    pad, handle = pool.consume(key.tag_bits, "mac-pad")
+    return MacTag(tag=key.hash(message) ^ pad, seed_handle=handle)
 
 
 REJECT_POOL_DESYNC = "pool-desync"
@@ -207,19 +243,18 @@ class VerifyResult:
     reason: Optional[str] = None
 
 
-def wc_verify(message: bytes, tag: MacTag, pool: AuthKeyPool) -> VerifyResult:
-    """Recompute the tag from the mirrored pool segment and compare.
+def wc_verify(message: bytes, tag: MacTag, pool: AuthKeyPool, key: MacKey) -> VerifyResult:
+    """Recompute the tag from the round's key and the mirrored pad, and compare.
 
-    The peer pool must be positioned at the same segment the sender
-    consumed; a mismatch is reported as pool desynchronization without
-    consuming anything.
+    The peer pool must be positioned at the pad the sender consumed; a
+    mismatch is reported as pool desynchronization without consuming
+    anything. A message the key cannot hash raises ValueError, as in wc_tag.
     """
-    expected_cost = pool_cost_per_tag(tag.tag_bits, tag.word_bits)
-    if pool.next_offset != tag.seed_handle.start or tag.seed_handle.length != expected_cost:
+    key._check_length(message)
+    if pool.next_offset != tag.seed_handle.start or tag.seed_handle.length != key.tag_bits:
         return VerifyResult(accepted=False, reason=REJECT_POOL_DESYNC)
-    segment, _ = pool.consume(expected_cost, "mac-verify")
-    recomputed = _tag_from_segment(message, segment, tag.tag_bits, tag.word_bits)
-    if np.array_equal(recomputed, tag.tag):
+    pad, _ = pool.consume(key.tag_bits, "mac-verify")
+    if np.array_equal(key.hash(message) ^ pad, tag.tag):
         return VerifyResult(accepted=True)
     return VerifyResult(accepted=False, reason=REJECT_TAG_MISMATCH)
 

@@ -36,6 +36,7 @@ from .auth import (
     AuthMode,
     CannotAuthenticateError,
     InsufficientKeyError,
+    MacKey,
     OtsContext,
     PoolExhaustedError,
     bootstrap_round_auth,
@@ -394,6 +395,7 @@ class _Messenger:
         self.pools = {"alice": AuthKeyPool(), "bob": AuthKeyPool()}
         self.ots: dict[str, OtsContext | None] = {"alice": None, "bob": None}
         self.mode: AuthMode | None = None
+        self.mac_keys: dict[str, MacKey] = {}
         self.log: list[PublicMessage] = []
         auth = scenario.auth
         if auth.mode == "preshared_pool":
@@ -411,8 +413,14 @@ class _Messenger:
             ]
 
     def open_round(self, round_no: int) -> AuthMode:
-        """Pick and keep the mode that authenticates this round's messages."""
+        """Pick and keep the mode that authenticates this round's messages.
+
+        A Wegman-Carter round draws each party's MAC hash key here, once;
+        its messages then spend only their pads.
+        """
         self.mode = bootstrap_round_auth(round_no, self.pools["alice"], self.ots["alice"])
+        if self.mode is AuthMode.WEGMAN_CARTER:
+            self.mac_keys = {party: MacKey.draw(pool) for party, pool in self.pools.items()}
         return self.mode
 
     def refill(self, alice_bits: np.ndarray, bob_bits: np.ndarray) -> None:
@@ -423,8 +431,8 @@ class _Messenger:
         payload = _encode_payload(fields)
         receiver = "bob" if sender == "alice" else "alice"
         if self.mode is AuthMode.WEGMAN_CARTER:
-            tag = wc_tag(payload, self.pools[sender])
-            result = wc_verify(payload, tag, self.pools[receiver])
+            tag = wc_tag(payload, self.pools[sender], self.mac_keys[sender])
+            result = wc_verify(payload, tag, self.pools[receiver], self.mac_keys[receiver])
             if not result.accepted:
                 raise CannotAuthenticateError(f"message {label!r} rejected: {result.reason}")
             auth_mode = AuthMode.WEGMAN_CARTER.value

@@ -24,10 +24,11 @@ from qkdkit.auth import (
     AuthKeyPool,
     AuthMode,
     KeyReuseError,
+    MacKey,
+    mac_key_bits,
     ots_keygen,
     ots_sign,
     ots_verify,
-    pool_cost_per_tag,
     wc_tag,
 )
 from qkdkit.bits import int_to_bits
@@ -226,14 +227,15 @@ def test_criterion_5_privacy_amplification_correctness():
 def test_criterion_6_mac_and_signature_bounds():
     with criterion(6, "forgery acceptance <= 2^-t; one-time keys cannot be reused"):
         t = w = 4
-        cost = pool_cost_per_tag(t, w)
+        cost = mac_key_bits(t, w) + t  # the round's key, then one pad
         message, forged = b"\x30", b"\x3c"
         delta_counts: dict[tuple, int] = {}
         total = 1 << cost
         for value in range(total):
             segment = int_to_bits(value, cost)
-            tag = wc_tag(message, AuthKeyPool(segment), tag_bits=t, word_bits=w)
-            forged_tag = wc_tag(forged, AuthKeyPool(segment), tag_bits=t, word_bits=w)
+            pool, pool_again = AuthKeyPool(segment), AuthKeyPool(segment)
+            tag = wc_tag(message, pool, MacKey.draw(pool, t, w))
+            forged_tag = wc_tag(forged, pool_again, MacKey.draw(pool_again, t, w))
             delta = tuple(np.bitwise_xor(tag.tag, forged_tag.tag).tolist())
             delta_counts[delta] = delta_counts.get(delta, 0) + 1
         worst_acceptance = max(delta_counts.values()) / total

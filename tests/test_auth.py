@@ -9,34 +9,44 @@ from qkdkit.auth import (
     CannotAuthenticateError,
     InsufficientKeyError,
     KeyReuseError,
+    MacKey,
+    MacTag,
     OtsContext,
     OtsPublicKey,
     OtsSignature,
     PoolExhaustedError,
     REJECT_POOL_DESYNC,
     REJECT_TAG_MISMATCH,
+    SegmentHandle,
     _GF_MODULI,
     _blocks,
     bootstrap_round_auth,
     export_ots_public,
     grow_keys,
     import_ots_public,
+    mac_key_bits,
     ots_keygen,
     ots_sign,
     ots_verify,
     poly_compress,
-    pool_cost_per_tag,
     wc_tag,
     wc_verify,
 )
-from qkdkit.bits import int_to_bits, random_bits
+from qkdkit.bits import bits_to_int, int_to_bits, random_bits
 from qkdkit.keys import KeyMaterial, KeyStage
+from qkdkit.postproc.distill import ToeplitzSeed, toeplitz_apply
 from oracles import gf_mul, poly_compress_reference
 
 
 def mirrored_pools(n_bits: int, seed: int = 40) -> tuple[AuthKeyPool, AuthKeyPool]:
     bits = random_bits(n_bits, np.random.default_rng(seed))
     return AuthKeyPool(bits.copy()), AuthKeyPool(bits.copy())
+
+
+def keyed_pools(n_bits: int, seed: int = 40, tag_bits: int = 64, word_bits: int = 64):
+    """Mirrored pools, each with the round's hash key already drawn from it."""
+    alice, bob = mirrored_pools(n_bits, seed)
+    return (alice, MacKey.draw(alice, tag_bits, word_bits)), (bob, MacKey.draw(bob, tag_bits, word_bits))
 
 
 def gf_pow(a: int, e: int, w: int) -> int:
@@ -111,37 +121,70 @@ def test_poly_compress_matches_bit_serial_horner(word_bits):
 
 
 def test_mac_roundtrip_and_lockstep():
-    alice, bob = mirrored_pools(4096)
+    (alice, alice_key), (bob, bob_key) = keyed_pools(4096, tag_bits=32)
     for i in range(5):
         message = f"message number {i}".encode()
-        tag = wc_tag(message, alice, tag_bits=32)
-        result = wc_verify(message, tag, bob)
+        tag = wc_tag(message, alice, alice_key)
+        result = wc_verify(message, tag, bob, bob_key)
         assert result.accepted and result.reason is None
 
 
+def test_first_tag_of_a_key_is_the_one_segment_tag():
+    # a key draw plus one pad reads the segment [alpha | Toeplitz seed | pad]:
+    # the tag is the Toeplitz product of the polynomial hash, one-time padded
+    rng = np.random.default_rng(59)
+    for t, w in [(4, 4), (8, 8), (16, 16), (24, 32), (64, 64)]:
+        longest = (2**w - 1) // 8  # a message has fewer than 2^w bits
+        for n_bytes in sorted({0, 1, max(w // 8 - 1, 0), min(300, longest)}):
+            message = rng.bytes(n_bytes)
+            segment = random_bits(mac_key_bits(t, w) + t, rng)
+            pool = AuthKeyPool(segment)
+            tag = wc_tag(message, pool, MacKey.draw(pool, t, w))
+            word = int_to_bits(poly_compress(message, bits_to_int(segment[:w]), w), w)
+            hashed = toeplitz_apply(ToeplitzSeed(segment[w : 2 * w + t - 1]), word, t)
+            assert np.array_equal(tag.tag, hashed ^ segment[-t:]), (t, w, n_bytes)
+
+
 def test_mac_rejects_tampered_message():
-    alice, bob = mirrored_pools(2048)
-    tag = wc_tag(b"original payload", alice)
-    result = wc_verify(b"original paylosd", tag, bob)
+    (alice, alice_key), (bob, bob_key) = keyed_pools(2048)
+    tag = wc_tag(b"original payload", alice, alice_key)
+    result = wc_verify(b"original paylosd", tag, bob, bob_key)
     assert not result.accepted and result.reason == REJECT_TAG_MISMATCH
 
 
 def test_mac_rejects_desynchronized_pool():
-    alice, bob = mirrored_pools(4096)
-    tag1 = wc_tag(b"first", alice)
-    tag2 = wc_tag(b"second", alice)
-    result = wc_verify(b"second", tag2, bob)  # bob never verified tag1
+    (alice, alice_key), (bob, bob_key) = keyed_pools(4096)
+    tag1 = wc_tag(b"first", alice, alice_key)
+    tag2 = wc_tag(b"second", alice, alice_key)
+    result = wc_verify(b"second", tag2, bob, bob_key)  # bob never verified tag1
     assert not result.accepted and result.reason == REJECT_POOL_DESYNC
     # bob's pool was not consumed by the rejected attempt
-    assert wc_verify(b"first", tag1, bob).accepted
+    assert wc_verify(b"first", tag1, bob, bob_key).accepted
+
+
+def test_mac_rejects_a_tag_replayed_within_the_round():
+    # the hash key is recycled over the round, so only the fresh pad keeps an
+    # earlier message's tag from verifying again later in the same round
+    (alice, alice_key), (bob, bob_key) = keyed_pools(4096)
+    tags = [wc_tag(m, alice, alice_key) for m in (b"first", b"second")]
+    for message, tag in zip((b"first", b"second"), tags):
+        assert wc_verify(message, tag, bob, bob_key).accepted
+    # as sent, the replay names a pad bob has already used
+    wc_tag(b"third", alice, alice_key)
+    result = wc_verify(b"first", tags[0], bob, bob_key)
+    assert not result.accepted and result.reason == REJECT_POOL_DESYNC
+    # moved to bob's next pad, the old tag no longer matches
+    moved = MacTag(tags[0].tag, SegmentHandle(bob.next_offset, bob_key.tag_bits))
+    result = wc_verify(b"first", moved, bob, bob_key)
+    assert not result.accepted and result.reason == REJECT_TAG_MISMATCH
 
 
 def test_pool_sized_for_one_tag_exhausts_on_second():
-    cost = pool_cost_per_tag(16, 16)
-    pool = AuthKeyPool(random_bits(cost, np.random.default_rng(42)))
-    wc_tag(b"only one", pool, tag_bits=16, word_bits=16)
-    with pytest.raises(PoolExhaustedError):
-        wc_tag(b"one too many", pool, tag_bits=16, word_bits=16)
+    pool = AuthKeyPool(random_bits(mac_key_bits(16, 16) + 16, np.random.default_rng(42)))
+    key = MacKey.draw(pool, tag_bits=16, word_bits=16)
+    wc_tag(b"only one", pool, key)
+    with pytest.raises(PoolExhaustedError, match="0 bits, 16 requested for mac-pad"):
+        wc_tag(b"one too many", pool, key)
 
 
 @pytest.mark.parametrize("tag_bits,word_bits", [(16, 12), (16, 0), (16, 128), (0, 64), (-8, 64)])
@@ -149,29 +192,52 @@ def test_rejected_tag_size_leaves_the_pool_untouched(tag_bits, word_bits):
     # a rejected call must not move the pool ahead of its mirror
     pool = AuthKeyPool(np.ones(1000, np.uint8))
     with pytest.raises(ValueError):
-        wc_tag(b"x", pool, tag_bits=tag_bits, word_bits=word_bits)
+        MacKey.draw(pool, tag_bits=tag_bits, word_bits=word_bits)
     assert pool.available_bits == 1000 and pool.consumption_log == []
+
+
+def test_mac_rejects_messages_whose_length_block_wraps():
+    # at w = 4 the length block of b"\x00\x00" (16 bits) wraps to that of b"",
+    # and their zero blocks add nothing: every key would give them one tag
+    (alice, alice_key), (bob, bob_key) = keyed_pools(64, tag_bits=4, word_bits=4)
+    tag = wc_tag(b"", alice, alice_key)
+    assert wc_verify(b"", tag, bob, bob_key).accepted
+    before = (alice.next_offset, bob.next_offset, len(alice.consumption_log), len(bob.consumption_log))
+    with pytest.raises(ValueError):
+        wc_tag(b"\x00\x00", alice, alice_key)
+    with pytest.raises(ValueError):
+        wc_verify(b"\x00\x00", tag, bob, bob_key)
+    after = (alice.next_offset, bob.next_offset, len(alice.consumption_log), len(bob.consumption_log))
+    assert after == before
+    # the longest message a 4-bit word takes is 15 bits, so one byte
+    assert wc_verify(b"\xff", wc_tag(b"\xff", alice, alice_key), bob, bob_key).accepted
 
 
 @pytest.mark.parametrize("word_bits", sorted(_GF_MODULI))
 def test_mac_at_every_word_width(word_bits):
     # runs tag at t = w = 64; the smaller fields serve the exhaustive tests
-    cost = pool_cost_per_tag(word_bits, word_bits)
-    alice, bob = mirrored_pools(3 * cost, seed=word_bits)
-    tag = wc_tag(b"announcement", alice, tag_bits=word_bits, word_bits=word_bits)
-    assert alice.available_bits == 2 * cost and tag.seed_handle.length == cost
-    assert wc_verify(b"announcement", tag, bob).accepted
-    tampered = wc_tag(b"announcement", alice, tag_bits=word_bits, word_bits=word_bits)
-    result = wc_verify(b"announcemenu", tampered, bob)
+    key_bits = mac_key_bits(word_bits, word_bits)
+    (alice, alice_key), (bob, bob_key) = keyed_pools(key_bits + 3 * word_bits, seed=word_bits,
+                                                     tag_bits=word_bits, word_bits=word_bits)
+    message, tampered = b"announcement", b"announcemenu"
+    if word_bits == 4:
+        # 96 bits is past the 15 a 4-bit word takes; tag one byte instead
+        with pytest.raises(ValueError):
+            wc_tag(message, alice, alice_key)
+        message, tampered = b"t", b"u"
+    tag = wc_tag(message, alice, alice_key)
+    assert alice.available_bits == 2 * word_bits and tag.seed_handle.length == word_bits
+    assert wc_verify(message, tag, bob, bob_key).accepted
+    result = wc_verify(tampered, wc_tag(message, alice, alice_key), bob, bob_key)
     assert not result.accepted and result.reason == REJECT_TAG_MISMATCH
-    assert alice.available_bits == bob.available_bits == cost
+    assert alice.available_bits == bob.available_bits == word_bits
 
 
 def test_pool_one_time_discipline_is_auditable():
-    alice, bob = mirrored_pools(8192)
+    (alice, alice_key), (bob, bob_key) = keyed_pools(8192, tag_bits=48)
     for i in range(6):
-        tag = wc_tag(f"m{i}".encode(), alice, tag_bits=48)
-        assert wc_verify(f"m{i}".encode(), tag, bob).accepted
+        tag = wc_tag(f"m{i}".encode(), alice, alice_key)
+        assert wc_verify(f"m{i}".encode(), tag, bob, bob_key).accepted
     for pool in (alice, bob):
         spans = sorted((start, start + length) for start, length, _ in pool.consumption_log)
         for (a_start, a_end), (b_start, b_end) in zip(spans, spans[1:]):
@@ -179,14 +245,15 @@ def test_pool_one_time_discipline_is_auditable():
 
 
 def test_forgery_acceptance_bound_exhaustive():
-    """Enumerate the full seed space at t = w = 4.
+    """Enumerate the full key-and-pad space at t = w = 4.
 
-    For each seed segment, exactly one forged-tag offset is accepted, so
-    the per-offset acceptance fraction must be 2^-t (plus nothing: the
-    flipped single-block message always changes the hash input word).
+    For each segment (a key draw, then one pad), exactly one forged-tag
+    offset is accepted, so the per-offset acceptance fraction must be 2^-t
+    (plus nothing: the flipped single-block message always changes the hash
+    input word).
     """
     t = w = 4
-    cost = pool_cost_per_tag(t, w)
+    cost = mac_key_bits(t, w) + t
     assert cost == 2 * w + 2 * t - 1 == 15
     message, forged = b"\x50", b"\x51"
     counts = {}
@@ -194,9 +261,9 @@ def test_forgery_acceptance_bound_exhaustive():
     for value in range(total):
         segment = int_to_bits(value, cost)
         pool = AuthKeyPool(segment)
-        tag = wc_tag(message, pool, tag_bits=t, word_bits=w)
+        tag = wc_tag(message, pool, MacKey.draw(pool, t, w))
         pool_again = AuthKeyPool(segment)
-        forged_tag = wc_tag(forged, pool_again, tag_bits=t, word_bits=w)
+        forged_tag = wc_tag(forged, pool_again, MacKey.draw(pool_again, t, w))
         # the unique delta the adversary could append and win with
         delta = tuple(np.bitwise_xor(tag.tag, forged_tag.tag).tolist())
         counts[delta] = counts.get(delta, 0) + 1

@@ -377,6 +377,74 @@ def test_underfunded_growth_exhausts_the_pool():
     assert result.rounds and not result.rounds[-1].sustainable
 
 
+# At p_z = 0.95 the X-basis sample is small and shows no error, so each round
+# first verifies without a syndrome, fails on the 1% misalignment errors and
+# falls back: 10 messages a round. At 255 pool bits a message that overran
+# the 2,048-bit reserve in round 2 (exit 4 after 18 messages); with one hash
+# key per round a round spends 831.
+FALLBACK_ROUNDS = {
+    "master_seed": 0, "rounds": 3,
+    "protocol": {"n_pulses": 16384, "strategy": {"mode": "asymmetric", "p_z": 0.95}},
+    "channel": {"transmittance": 0.9, "misalignment_error": 0.01}, "auth": {"mode": "ots_bootstrap"},
+}
+
+
+def test_fallback_rounds_fit_the_reserve():
+    result = run_session(scenario_from_dict(FALLBACK_ROUNDS))
+    assert (result.status, result.reason, result.exit_code) == (STATUS_OK, None, EXIT_OK)
+    assert [r.auth_mode for r in result.rounds] == ["ots", "wegman-carter", "wegman-carter"]
+    assert [r.verification_bits for r in result.rounds] == [128, 128, 128]
+    assert [sum(m.round_no == n for m in result.messages) for n in (1, 2, 3)] == [10, 10, 10]
+
+
+def test_wegman_carter_round_spends_one_key_then_one_pad_per_message(monkeypatch):
+    import qkdkit.scenario
+
+    messengers = []
+
+    class RecordedMessenger(qkdkit.scenario._Messenger):
+        def __init__(self, scenario):
+            super().__init__(scenario)
+            messengers.append(self)
+
+    monkeypatch.setattr(qkdkit.scenario, "_Messenger", RecordedMessenger)
+    cfg = base_config(rounds=2, auth={"mode": "preshared_pool", "preshared_pool_bits": 4096, "reserve_bits": 2048})
+    result = run_session(scenario_from_dict(cfg))
+    assert result.status == STATUS_OK
+    (messenger,) = messengers
+    for party, pool in messenger.pools.items():
+        # the 191-bit key (alpha and the Toeplitz seed) at round open, then
+        # one 64-bit pad per message, back to back: no segment overlaps another
+        expected, offset = [], 0
+        for round_no in (1, 2):
+            expected.append((offset, 191, "mac-key"))
+            offset += 191
+            for message in result.messages:
+                if message.round_no == round_no:
+                    expected.append((offset, 64, "mac-pad" if message.sender == party else "mac-verify"))
+                    offset += 64
+        assert pool.consumption_log == expected, party
+    alice, bob = (messenger.pools[party].consumption_log for party in ("alice", "bob"))
+    assert [entry[:2] for entry in alice] == [entry[:2] for entry in bob]
+
+
+def test_rejected_message_ends_the_session_with_exit_4(monkeypatch):
+    # a recycled hash key must never authenticate after a failed verification
+    import qkdkit.scenario
+
+    real_wc_verify = qkdkit.scenario.wc_verify
+
+    def verify_a_tampered_payload(message, tag, pool, key):
+        return real_wc_verify(message + b" ", tag, pool, key)
+
+    monkeypatch.setattr(qkdkit.scenario, "wc_verify", verify_a_tampered_payload)
+    cfg = base_config(auth={"mode": "preshared_pool", "preshared_pool_bits": 4096, "reserve_bits": 2048})
+    result = run_session(scenario_from_dict(cfg))
+    assert result.status == STATUS_POOL_EXHAUSTED and result.exit_code == EXIT_POOL_EXHAUSTED == 4
+    assert result.reason == "message 'detections' rejected: tag-mismatch"
+    assert result.messages == [] and result.rounds == []
+
+
 def _flip_one_sifted_bit(monkeypatch):
     """Give Bob's sifted key one error outside the X-basis sample."""
     import qkdkit.scenario
@@ -443,7 +511,7 @@ _SMALL_ROUNDS = {"n_pulses": 2048, "decoy_probability": 0.1, "strategy": {"mode"
         (base_config(channel={"transmittance": 0.9, "misalignment_error": 0.35}, postproc={"threshold": 0.45}),
          False, STATUS_DECODE_FAILURE, "block 0 failed both BP decoding and parity bisection", (0, 0, 0, 1, 3)),
         (base_config(rounds=3, protocol=_SMALL_ROUNDS), False,
-         STATUS_POOL_EXHAUSTED, "pool holds 79 bits, 255 requested for mac-tag", (1, 1, 0, 2, 8)),
+         STATUS_POOL_EXHAUSTED, "pool holds 15 bits, 64 requested for mac-pad", (1, 1, 0, 2, 9)),
         (base_config(), True, STATUS_DECODE_FAILURE, "verification-failed", (1, 0, 0, 1, 9)),
     ],
     ids=["ok", "intercept-resend", "empty-sample", "decode-failure", "pool-exhausted", "verification-failed"],
